@@ -16,7 +16,6 @@ from .formulas import (
     radical_series,
 )
 from .lagrange import (
-    LagrangeProblem,
     build_phi,
     fixed_point_residual,
     lagrange_coeff,
@@ -43,7 +42,6 @@ __all__ = [
     "Counterexample",
     "IdentityParams",
     "KirkmanIndex",
-    "LagrangeProblem",
     "Rect",
     "VerifyReport",
     "binomial",

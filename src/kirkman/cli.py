@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import formulas, verifier
 from .lagrange import lagrange_coeff
@@ -97,24 +95,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 # ---- rendering helpers ----
 
 
-def _plain(value) -> object:
-    # exact and JSON-safe: integral Fractions become ints, anything else a string
-    if isinstance(value, Fraction):
-        return int(value) if value.denominator == 1 else str(value)
-    return value
-
-
-def _emit_rows(fmt: str, header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
+def _emit_rows(fmt: str, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    # each row is written as it is produced; a non-integer renders as "p/q"
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow(["" if v is None else v for v in row])
-        sys.stdout.write(buffer.getvalue())
     elif fmt == "json-lines":
-        out = [json.dumps(dict(zip(header, row))) for row in rows]
-        sys.stdout.write("".join(line + "\n" for line in out))
+        for row in rows:
+            sys.stdout.write(json.dumps(dict(zip(header, row)), default=str) + "\n")
     else:
         raise AssertionError(f"unhandled format {fmt!r}")
 
@@ -139,10 +129,10 @@ def _cmd_expand(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         cells = {(m, n): formulas.closed_form_coeff(args.p, m, n) for m, n in window.cells()}
     elif args.method == "series":
         table = formulas.power_series(args.p, window)
-        cells = {(m, n): _plain(table[m, n]) for m, n in window.cells()}
+        cells = {(m, n): table[m, n] for m, n in window.cells()}
     elif args.method == "radical":
         table = formulas.radical_series(window)
-        cells = {(m, n): _plain(table[m, n]) for m, n in window.cells()}
+        cells = {(m, n): table[m, n] for m, n in window.cells()}
     else:
         cells = {(m, n): lagrange_coeff(args.p, m, n) for m, n in window.cells()}
 
@@ -164,12 +154,8 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     else:
         max_N = args.max_N
 
-    if args.cayley and args.r == 1 and args.s == 1:
-        report = verifier.verify_cayley(args.max_M)
-    else:
-        report = verifier.verify_generalized(args.r, args.s, args.max_M, max_N)
-
     if args.format == "pretty":
+        report = verifier.verify_generalized(args.r, args.s, args.max_M, max_N)
         if report.passed:
             print(f"PASS {report.params_range}: {report.checked_count} cases, identity holds")
         else:
@@ -178,15 +164,22 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
                 f"FAIL {report.params_range}: counterexample at M={c.M} N={c.N}: "
                 f"lhs={c.lhs} rhs={c.rhs}"
             )
-    else:
-        rows = []
+        return EXIT_OK if report.passed else EXIT_DISAGREEMENT
+
+    status = "ok"
+
+    def rows():
+        # one sweep, stopping after the first failing row
+        nonlocal status
         for M, N, lhs, rhs in verifier.sweep_cells(args.r, args.s, args.max_M, max_N):
-            ok = lhs == rhs
-            rows.append((M, N, lhs, rhs, "ok" if ok else "fail"))
-            if not ok:
-                break
-        _emit_rows(args.format, ("M", "N", "lhs", "rhs", "status"), rows)
-    return EXIT_OK if report.passed else EXIT_DISAGREEMENT
+            if lhs != rhs:
+                status = "fail"
+            yield M, N, lhs, rhs, status
+            if status == "fail":
+                return
+
+    _emit_rows(args.format, ("M", "N", "lhs", "rhs", "status"), rows())
+    return EXIT_OK if status == "ok" else EXIT_DISAGREEMENT
 
 
 def _cmd_crosscheck(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -202,12 +195,12 @@ def _cmd_crosscheck(args: argparse.Namespace, parser: argparse.ArgumentParser) -
         else:
             first = next(r for r in reports if not r.agree)
             parts = [
-                f"closed={_plain(first.value_closed)}",
-                f"series={_plain(first.value_series)}",
-                f"lagrange={_plain(first.value_lagrange)}",
+                f"closed={first.value_closed}",
+                f"series={first.value_series}",
+                f"lagrange={first.value_lagrange}",
             ]
             if first.value_radical is not None:
-                parts.append(f"radical={_plain(first.value_radical)}")
+                parts.append(f"radical={first.value_radical}")
             print(
                 f"FAIL p={args.p}: disagreement at m={first.index.m} n={first.index.n}: "
                 + " ".join(parts)
@@ -218,10 +211,10 @@ def _cmd_crosscheck(args: argparse.Namespace, parser: argparse.ArgumentParser) -
             (
                 r.index.m,
                 r.index.n,
-                _plain(r.value_closed),
-                _plain(r.value_series),
-                _plain(r.value_lagrange),
-                None if r.value_radical is None else _plain(r.value_radical),
+                r.value_closed,
+                r.value_series,
+                r.value_lagrange,
+                r.value_radical,
                 r.agree,
             )
             for r in reports

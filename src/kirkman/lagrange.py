@@ -16,30 +16,16 @@ independent of the binomial closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .series import BiSeries, Rect, poly
 
 
-@dataclass(frozen=True)
-class LagrangeProblem:
-    """An inversion problem y = z * phi(y); ``phi`` is read as (y, w)."""
-
-    phi: BiSeries
-    description: str = "(1+y)^2 / (1 - w(1+y))"
-
-    def __post_init__(self) -> None:
-        # invertible constant term is the standing hypothesis of Lagrange inversion
-        if self.phi[0, 0] == 0:
-            raise ValueError("phi must have a nonzero constant term")
-
-
-def build_phi(window: Rect) -> LagrangeProblem:
-    """phi = (1+y)^2 / (1 - w(1+y)) truncated to ``window``."""
+def build_phi(window: Rect) -> BiSeries:
+    """phi = (1+y)^2 / (1 - w(1+y)) truncated to ``window``, read as (y, w)."""
     numerator = poly(window, {(0, 0): 1, (1, 0): 2, (2, 0): 1})
     denominator = poly(window, {(0, 0): 1, (0, 1): -1, (1, 1): -1})
-    return LagrangeProblem(phi=numerator * denominator.reciprocal())
+    return numerator * denominator.reciprocal()
 
 
 def lagrange_coeff(p: int, m: int, n: int) -> int:
@@ -52,7 +38,7 @@ def lagrange_coeff(p: int, m: int, n: int) -> int:
         raise ValueError(f"power must be >= 1, got {p}")
     if m < 0 or n < 0:
         raise ValueError(f"exponents must be non-negative, got ({m}, {n})")
-    phi = build_phi(Rect(m, n)).phi
+    phi = build_phi(Rect(m, n))
     value = Fraction(p, m + p) * (phi ** (m + p))[m, n]
     if value.denominator != 1:
         raise ArithmeticError(f"integrality violated at p={p} m={m} n={n}: {value}")
@@ -66,20 +52,20 @@ def solve_y_fixpoint(window: Rect) -> BiSeries:
     approximation into phi and multiplying by z fixes one more z-degree per
     pass: max_a passes are exact on the window.
     """
-    problem = build_phi(Rect(window.max_a, window.max_b))
+    phi = build_phi(Rect(window.max_a, window.max_b))
     z = poly(window, {(1, 0): 1})
     y = BiSeries.zero(window)
     for _ in range(window.max_a):
-        y = z * substitute(problem.phi, y, window)
+        y = z * substitute(phi, y, window)
     return y
 
 
 def fixed_point_residual(y: BiSeries) -> BiSeries:
     """y - z * phi(y) on y's own window; the zero series iff y solves it."""
     window = y.rect
-    problem = build_phi(Rect(window.max_a, window.max_b))
+    phi = build_phi(Rect(window.max_a, window.max_b))
     z = poly(window, {(1, 0): 1})
-    return y - z * substitute(problem.phi, y, window)
+    return y - z * substitute(phi, y, window)
 
 
 def substitute(phi: BiSeries, y: BiSeries, window: Rect) -> BiSeries:

@@ -1,11 +1,19 @@
 """Exact truncated bivariate formal power series over the rationals.
 
-A series is stored as a dense table of ``Fraction`` coefficients on a
-rectangular window (independent degree caps for the two variables).  The
-window is closed under all operations here: coefficient (a, b) of a product
-only reads inputs at indices (i, j) with i <= a and j <= b, so arithmetic on
-the window is exact for the represented terms.  Variables are positional;
-the same type serves series in (z, w) and in (y, w).
+A series is stored as a dense table of exact coefficients on a rectangular
+window (independent degree caps for the two variables).  The window is
+closed under all operations here: coefficient (a, b) of a product only reads
+inputs at indices (i, j) with i <= a and j <= b, so arithmetic on the window
+is exact for the represented terms.  Variables are positional; the same type
+serves series in (z, w) and in (y, w).
+
+Cells are ``int`` or ``Fraction``.  Wherever a division can happen
+(construction, ``scale``, ``reciprocal``, ``sqrt``) one normaliser,
+``_exact``, stores the result as a plain ``int`` when it is an integer and as
+a ``Fraction`` only when it is not.  Addition, subtraction and products need
+no normalising: integer cells give integer cells, and mixed int/Fraction
+arithmetic stays exact.  A table built from integers therefore holds only
+ints unless some division in it leaves a remainder.
 
 Values are immutable after construction and every operation is a pure
 function, so instances may be shared freely between threads.
@@ -19,8 +27,14 @@ from typing import Iterable, Iterator, Mapping, Union
 
 Scalar = Union[int, Fraction]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
+
+
+def _exact(value: Scalar) -> Scalar:
+    # the only place a cell's type is chosen: int if integral, else Fraction
+    q = Fraction(value)
+    return q.numerator if q.denominator == 1 else q
 
 
 @dataclass(frozen=True)
@@ -60,13 +74,15 @@ def _graded_cells(max_a: int, max_b: int) -> Iterator[tuple[int, int]]:
 class BiSeries:
     """A bivariate series truncated to ``rect``, with exact rational cells.
 
+    Cells are ``int`` or ``Fraction``, chosen as the module docstring says.
+
     ``coeff[a][b]`` is the coefficient of (first variable)^a (second
     variable)^b.  Every cell inside the rectangle is materialised; absent
     terms are explicit zeros.
     """
 
     rect: Rect
-    coeff: tuple[tuple[Fraction, ...], ...]
+    coeff: tuple[tuple[Scalar, ...], ...]
 
     def __post_init__(self) -> None:
         if len(self.coeff) != self.rect.max_a + 1 or any(
@@ -94,7 +110,7 @@ class BiSeries:
             if (a, b) in seen:
                 raise ValueError(f"duplicate index ({a}, {b})")
             seen.add((a, b))
-            table[a][b] = Fraction(value)
+            table[a][b] = _exact(value)
         return cls(rect, tuple(tuple(row) for row in table))
 
     @classmethod
@@ -107,7 +123,7 @@ class BiSeries:
 
     # ---- lookup ----
 
-    def __getitem__(self, index: tuple[int, int]) -> Fraction:
+    def __getitem__(self, index: tuple[int, int]) -> Scalar:
         a, b = index
         if not self.rect.contains(a, b):
             raise IndexError(f"index out of rectangle: ({a}, {b}) not in {self.rect}")
@@ -156,8 +172,8 @@ class BiSeries:
         )
 
     def scale(self, factor: Scalar) -> BiSeries:
-        f = Fraction(factor)
-        return BiSeries(self.rect, tuple(tuple(f * v for v in row) for row in self.coeff))
+        f = _exact(factor)
+        return BiSeries(self.rect, tuple(tuple(_exact(f * v) for v in row) for row in self.coeff))
 
     def __mul__(self, other: BiSeries) -> BiSeries:
         """Truncated product: cell (a, b) is sum of x[i,j] * y[a-i,b-j]."""
@@ -208,8 +224,8 @@ class BiSeries:
         if x[0][0] == 0:
             raise ValueError("not invertible: zero constant term")
         max_a, max_b = self.rect.max_a, self.rect.max_b
-        inv = _ONE / x[0][0]
-        out: list[list[Fraction]] = [[_ZERO] * (max_b + 1) for _ in range(max_a + 1)]
+        inv = _exact(Fraction(_ONE, x[0][0]))
+        out: list[list[Scalar]] = [[_ZERO] * (max_b + 1) for _ in range(max_a + 1)]
         out[0][0] = inv
         for a, b in _graded_cells(max_a, max_b):
             if a == 0 and b == 0:
@@ -222,7 +238,7 @@ class BiSeries:
                     if i == 0 and j == 0:
                         continue
                     acc += xi[j] * oi[b - j]
-            out[a][b] = -inv * acc
+            out[a][b] = _exact(-inv * acc)
         return BiSeries(self.rect, tuple(tuple(row) for row in out))
 
     def sqrt(self) -> BiSeries:
@@ -237,7 +253,7 @@ class BiSeries:
         if x[0][0] != 1:
             raise ValueError("unsupported radicand: constant term must be 1")
         max_a, max_b = self.rect.max_a, self.rect.max_b
-        out: list[list[Fraction]] = [[_ZERO] * (max_b + 1) for _ in range(max_a + 1)]
+        out: list[list[Scalar]] = [[_ZERO] * (max_b + 1) for _ in range(max_a + 1)]
         out[0][0] = _ONE
         for a, b in _graded_cells(max_a, max_b):
             if a == 0 and b == 0:
@@ -250,7 +266,7 @@ class BiSeries:
                     if (i == 0 and j == 0) or (i == a and j == b):
                         continue
                     acc += oi[j] * ok[b - j]
-            out[a][b] = (x[a][b] - acc) / 2
+            out[a][b] = _exact(Fraction(x[a][b] - acc, 2))
         return BiSeries(self.rect, tuple(tuple(row) for row in out))
 
     # ---- exact divisions ----

@@ -15,14 +15,11 @@ is tested separately as an invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from .formulas import KirkmanIndex, closed_form_coeff, power_series, radical_series
 from .lagrange import lagrange_coeff
-from .series import Rect
-
-ExactValue = Union[int, Fraction]
+from .series import Rect, Scalar
 
 
 @dataclass(frozen=True)
@@ -79,9 +76,9 @@ class CoeffReport:
 
     index: KirkmanIndex
     value_closed: int
-    value_series: ExactValue
+    value_series: Scalar
     value_lagrange: int
-    value_radical: Optional[ExactValue] = None  # populated only for p = 1
+    value_radical: Optional[Scalar] = None  # populated only for p = 1
 
     @property
     def agree(self) -> bool:
@@ -134,11 +131,6 @@ def verify_cayley(max_M: int) -> VerifyReport:
     return verify_generalized(1, 1, max_M, 0)
 
 
-def _as_exact(value: Fraction) -> ExactValue:
-    # keep a non-integer visible as a Fraction instead of rounding it away
-    return int(value) if value.denominator == 1 else value
-
-
 def cross_check_methods(p: int, max_m: int, max_n: int) -> list[CoeffReport]:
     """Compute every cell of the (max_m, max_n) window on all routes.
 
@@ -158,9 +150,9 @@ def cross_check_methods(p: int, max_m: int, max_n: int) -> list[CoeffReport]:
                 CoeffReport(
                     index=KirkmanIndex(p, m, n),
                     value_closed=closed_form_coeff(p, m, n),
-                    value_series=_as_exact(by_series[m, n]),
+                    value_series=by_series[m, n],
                     value_lagrange=lagrange_coeff(p, m, n),
-                    value_radical=None if by_radical is None else _as_exact(by_radical[m, n]),
+                    value_radical=None if by_radical is None else by_radical[m, n],
                 )
             )
     return reports

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
 import kirkman.verifier as verifier_module
 from kirkman.cli import main
 from kirkman.formulas import closed_form_coeff
+from kirkman.series import BiSeries
 
 
 def run(argv, capsys):
@@ -285,14 +287,41 @@ def test_verify_counterexample_record_is_well_formed(monkeypatch, capsys):
     assert all(record["status"] == "ok" for record in records[:-1])
 
 
-def test_crosscheck_exits_1_naming_routes(monkeypatch, capsys):
-    monkeypatch.setattr(
-        verifier_module, "lagrange_coeff", lambda p, m, n: closed_form_coeff(p, m, n) + 7
-    )
+def _corrupt_route(monkeypatch, route, delta):
+    """Shift a route as the verifier sees it: a table at (0, 0), a per-cell route everywhere."""
+    original = getattr(verifier_module, route)
+
+    def corrupted(*args):
+        value = original(*args)
+        if isinstance(value, BiSeries):
+            return value + BiSeries.from_table(value.rect, {(0, 0): delta})
+        return value + delta
+
+    monkeypatch.setattr(verifier_module, route, corrupted)
+
+
+@pytest.mark.parametrize(
+    "route, name",
+    [("lagrange_coeff", "lagrange"), ("power_series", "series"), ("radical_series", "radical")],
+    ids=["lagrange", "power_series", "radical_series"],
+)
+def test_crosscheck_exits_1_naming_routes(monkeypatch, capsys, route, name):
+    _corrupt_route(monkeypatch, route, 7)
     code, out, _ = run(["crosscheck", "--p", "1", "--max-m", "1", "--max-n", "1"], capsys)
     assert code == 1
     assert out.startswith("FAIL")
-    assert "closed=1" in out
-    assert "series=1" in out
-    assert "lagrange=8" in out
-    assert "radical=1" in out
+    for label in ("closed", "series", "lagrange", "radical"):
+        assert f"{label}={8 if label == name else 1}" in out
+
+
+def test_crosscheck_json_lines_renders_non_integer_as_fraction(monkeypatch, capsys):
+    _corrupt_route(monkeypatch, "power_series", Fraction(-1, 2))
+    code, out, _ = run(
+        ["crosscheck", "--p", "1", "--max-m", "1", "--max-n", "1", "--format", "json-lines"],
+        capsys,
+    )
+    assert code == 1
+    assert out.splitlines()[0] == (
+        '{"m": 0, "n": 0, "closed": 1, "series": "1/2", "lagrange": 1, "radical": 1, '
+        '"agree": false}'
+    )

@@ -6,7 +6,6 @@ import pytest
 
 from kirkman.formulas import binomial, closed_form_coeff, fixpoint_series
 from kirkman.lagrange import (
-    LagrangeProblem,
     build_phi,
     fixed_point_residual,
     lagrange_coeff,
@@ -18,28 +17,23 @@ from oracles import catalan
 
 
 def test_build_phi_constant_term():
-    assert build_phi(Rect(2, 2)).phi[0, 0] == 1
+    assert build_phi(Rect(2, 2))[0, 0] == 1
 
 
 def test_build_phi_geometric_row_at_y0():
-    phi = build_phi(Rect(1, 2)).phi
+    phi = build_phi(Rect(1, 2))
     assert [phi[0, j] for j in range(3)] == [1, 1, 1]
 
 
 def test_build_phi_small_table():
     # (1+2y)(1 + w + wy + w^2 + 2w^2 y) truncated to (1, 2)
-    phi = build_phi(Rect(1, 2)).phi
+    phi = build_phi(Rect(1, 2))
     expected = BiSeries.from_table(
         Rect(1, 2),
         {(0, 0): 1, (0, 1): 1, (0, 2): 1, (1, 0): 2, (1, 1): 3, (1, 2): 4},
     )
     assert phi == expected
     assert phi[1, 1] == 3
-
-
-def test_lagrange_problem_requires_unit():
-    with pytest.raises(ValueError, match="constant term"):
-        LagrangeProblem(phi=BiSeries.from_table(Rect(1, 1), {(1, 0): 1}))
 
 
 def test_lagrange_coeff_examples():
@@ -64,7 +58,7 @@ def test_lagrange_agrees_with_closed_form():
 
 def test_phi_square_first_y_row():
     # [y^1 w^n] phi^2 = (n+1)(n+4), from (1+y)^4 / (1 - w(1+y))^2
-    phi = build_phi(Rect(1, 6)).phi
+    phi = build_phi(Rect(1, 6))
     square = phi * phi
     for n in range(7):
         assert square[1, n] == (n + 1) * (n + 4)

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from kirkman.formulas import fixpoint_series, power_series, radical_series
 from kirkman.series import BiSeries, Rect, poly
 
 from oracles import naive_mul, random_series
@@ -322,3 +323,36 @@ def test_division_roundtrips_random():
         assert quotient2 == q2.restrict(target)
         zw_small = poly(target, {(1, 0): 1, (0, 1): 1})
         assert zw_small * quotient2 == x2.restrict(target)
+
+
+def _int_series(rect, constant, seed=5):
+    rng = random.Random(seed)
+    entries = {(a, b): rng.randint(-9, 9) for a, b in rect.cells()}
+    entries[0, 0] = constant
+    return BiSeries.from_table(rect, entries)
+
+
+_R = Rect(3, 3)
+_PADDED = Rect(7, 3)
+INTEGER_CASES = {
+    "from_table": lambda: _int_series(_R, 4),
+    "mul": lambda: _int_series(_R, 4) * _int_series(_R, -3, seed=6),
+    "pow": lambda: _int_series(_R, 2) ** 3,
+    "reciprocal_plus_one": lambda: _int_series(_R, 1).reciprocal(),
+    "reciprocal_minus_one": lambda: _int_series(_R, -1).reciprocal(),
+    "sqrt": lambda: (_int_series(_R, 1) ** 2).sqrt(),
+    "scale_half_of_even": lambda: _int_series(_R, 4).scale(2).scale(Fraction(1, 2)),
+    "div_z": lambda: (poly(_R, {(1, 0): 1}) * _int_series(_R, 4)).div_z(),
+    "div_z_plus_w": lambda: (
+        poly(_PADDED, {(1, 0): 1, (0, 1): 1}) * _int_series(_PADDED, 4)
+    ).div_z_plus_w(_R),
+    "power_series": lambda: power_series(3, Rect(4, 4)),
+    "fixpoint_series": lambda: fixpoint_series(Rect(4, 4)),
+    "radical_series": lambda: radical_series(Rect(4, 4)),
+}
+
+
+@pytest.mark.parametrize("build", INTEGER_CASES.values(), ids=INTEGER_CASES.keys())
+def test_integer_inputs_give_int_cells(build):
+    series = build()
+    assert all(type(value) is int for row in series.coeff for value in row)
