@@ -19,14 +19,15 @@ from .lagrange import (
     build_phi,
     fixed_point_residual,
     lagrange_coeff,
+    lagrange_table,
     solve_y_fixpoint,
 )
 from .series import BiSeries, Rect, poly
 from .verifier import (
     CoeffReport,
     Counterexample,
-    IdentityParams,
     VerifyReport,
+    closed_table,
     convolution_lhs,
     cross_check_methods,
     sweep_cells,
@@ -40,18 +41,19 @@ __all__ = [
     "BiSeries",
     "CoeffReport",
     "Counterexample",
-    "IdentityParams",
     "KirkmanIndex",
     "Rect",
     "VerifyReport",
     "binomial",
     "build_phi",
     "closed_form_coeff",
+    "closed_table",
     "convolution_lhs",
     "cross_check_methods",
     "fixed_point_residual",
     "fixpoint_series",
     "lagrange_coeff",
+    "lagrange_table",
     "poly",
     "power_series",
     "radical_series",

@@ -14,7 +14,7 @@ import sys
 from typing import Iterable, Optional, Sequence
 
 from . import formulas, verifier
-from .lagrange import lagrange_coeff
+from .lagrange import lagrange_table
 from .series import Rect
 
 EXIT_OK = 0
@@ -22,7 +22,14 @@ EXIT_DISAGREEMENT = 1
 EXIT_USAGE = 2
 
 FORMATS = ("pretty", "csv", "json-lines")
-METHODS = ("closed", "series", "radical", "lagrange")
+# every route builds the table of f^p on a window; each name is looked up
+# when called, so a patched or traced module attribute is the one that runs
+ROUTES = {
+    "closed": lambda p, window: verifier.closed_table(p, window),
+    "series": lambda p, window: formulas.power_series(p, window),
+    "radical": lambda p, window: formulas.radical_series(window),
+    "lagrange": lambda p, window: lagrange_table(p, window),
+}
 
 
 def _positive_int(text: str) -> int:
@@ -63,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     expand.add_argument("--p", type=_positive_int, required=True)
     expand.add_argument("--max-m", type=_nonnegative_int, required=True)
     expand.add_argument("--max-n", type=_nonnegative_int, required=True)
-    expand.add_argument("--method", choices=METHODS, default="closed")
+    expand.add_argument("--method", choices=ROUTES, default="closed")
     expand.add_argument("--format", choices=FORMATS, default="pretty")
     expand.set_defaults(handler=_cmd_expand)
 
@@ -96,12 +103,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _emit_rows(fmt: str, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    # each row is written as it is produced; a non-integer renders as "p/q"
+    # each row is written as it is produced; a non-integer renders as "p/q",
+    # and in csv None is a blank cell and a boolean is written as in JSON
     if fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow(["" if v is None else v for v in row])
+            writer.writerow(
+                ["" if v is None else json.dumps(v) if isinstance(v, bool) else v for v in row]
+            )
     elif fmt == "json-lines":
         for row in rows:
             sys.stdout.write(json.dumps(dict(zip(header, row)), default=str) + "\n")
@@ -125,21 +135,12 @@ def _cmd_expand(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     if args.method == "radical" and args.p != 1:
         parser.error("--method radical is only defined for --p 1")
     window = Rect(args.max_m, args.max_n)
-    if args.method == "closed":
-        cells = {(m, n): formulas.closed_form_coeff(args.p, m, n) for m, n in window.cells()}
-    elif args.method == "series":
-        table = formulas.power_series(args.p, window)
-        cells = {(m, n): table[m, n] for m, n in window.cells()}
-    elif args.method == "radical":
-        table = formulas.radical_series(window)
-        cells = {(m, n): table[m, n] for m, n in window.cells()}
-    else:
-        cells = {(m, n): lagrange_coeff(args.p, m, n) for m, n in window.cells()}
-
-    rows = [(m, n, cells[m, n]) for m, n in window.cells()]
+    table = ROUTES[args.method](args.p, window)
     if args.format == "pretty":
-        print("\n".join(f"[z^{m} w^{n}] {value}" for m, n, value in rows))
+        for m, n in window.cells():
+            print(f"[z^{m} w^{n}] {table[m, n]}")
     else:
+        rows = ((m, n, table[m, n]) for m, n in window.cells())
         _emit_rows(args.format, ("m", "n", "coefficient"), rows)
     return EXIT_OK
 
@@ -207,7 +208,7 @@ def _cmd_crosscheck(args: argparse.Namespace, parser: argparse.ArgumentParser) -
             )
     else:
         header = ("m", "n", "closed", "series", "lagrange", "radical", "agree")
-        rows = [
+        rows = (
             (
                 r.index.m,
                 r.index.n,
@@ -218,9 +219,7 @@ def _cmd_crosscheck(args: argparse.Namespace, parser: argparse.ArgumentParser) -
                 r.agree,
             )
             for r in reports
-        ]
-        if args.format == "csv":
-            rows = [row[:-1] + ("true" if row[-1] else "false",) for row in rows]
+        )
         _emit_rows(args.format, header, rows)
     return EXIT_OK if all_agree else EXIT_DISAGREEMENT
 

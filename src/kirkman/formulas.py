@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .series import BiSeries, Rect, poly
 
@@ -51,7 +50,6 @@ def binomial(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-@lru_cache(maxsize=None)
 def closed_form_coeff(p: int, m: int, n: int) -> int:
     """[z^m w^n] f^p = (p/(m+p)) C(m+n+p-1, n) C(2m+n+2p, m+n+2p).
 

@@ -8,10 +8,13 @@ into an equation of Lagrange type,
 whose coefficients live in the ring of truncated series in w.  Lagrange
 inversion then gives
 
-    [z^m w^n] f^p = (p/(m+p)) [y^m w^n] phi(y)^(m+p),
+    [z^m w^n] f^p = (p/(m+p)) [y^m w^n] phi(y)^(m+p).
 
-which this module evaluates by direct series powering, keeping the route
-independent of the binomial closed form.
+``lagrange_table`` builds phi once on the requested window and powers it
+directly: phi^p once, then one more product by phi per row, so row m is
+read from the running power phi^(m+p).  The route never reads a binomial,
+which keeps it independent of the closed form, and the integrality of
+every cell is asserted.
 """
 
 from __future__ import annotations
@@ -28,21 +31,33 @@ def build_phi(window: Rect) -> BiSeries:
     return numerator * denominator.reciprocal()
 
 
-def lagrange_coeff(p: int, m: int, n: int) -> int:
-    """[z^m w^n] f^p = (p/(m+p)) [y^m w^n] phi^(m+p), evaluated exactly.
+def lagrange_table(p: int, window: Rect) -> BiSeries:
+    """[z^m w^n] f^p at every cell of ``window``, by Lagrange inversion.
 
-    phi is built on the window (m, n) exactly: higher y-terms cannot reach
-    [y^m] of the power, and extraction of [w^n] never reads beyond w^n.
+    phi is built on ``window`` read as (y, w): higher y-terms cannot reach
+    [y^m] of a power for m <= max_a, and [w^n] never reads beyond w^n.
     """
     if p < 1:
         raise ValueError(f"power must be >= 1, got {p}")
-    if m < 0 or n < 0:
-        raise ValueError(f"exponents must be non-negative, got ({m}, {n})")
-    phi = build_phi(Rect(m, n))
-    value = Fraction(p, m + p) * (phi ** (m + p))[m, n]
-    if value.denominator != 1:
-        raise ArithmeticError(f"integrality violated at p={p} m={m} n={n}: {value}")
-    return int(value)
+    phi = build_phi(window)
+    power = phi ** p
+    rows = []
+    for m in range(window.max_a + 1):
+        if m:
+            power = power * phi
+        row = []
+        for n, cell in enumerate(power.coeff[m]):
+            value = Fraction(p, m + p) * cell
+            if value.denominator != 1:
+                raise ArithmeticError(f"integrality violated at p={p} m={m} n={n}: {value}")
+            row.append(value.numerator)
+        rows.append(tuple(row))
+    return BiSeries(window, tuple(rows))
+
+
+def lagrange_coeff(p: int, m: int, n: int) -> int:
+    """[z^m w^n] f^p, the corner cell of the Lagrange table on (m, n)."""
+    return lagrange_table(p, Rect(m, n))[m, n]
 
 
 def solve_y_fixpoint(window: Rect) -> BiSeries:

@@ -6,40 +6,22 @@ The generalized identity states that for p = r + s,
 
 where c_p(m, n) is the closed-form coefficient of [z^m w^n] f^p.  The r = s
 = 1 case is Kirkman's hypothesis, and its N = 0 restriction is Cayley's
-case.  The left side is summed from closed-form coefficients (never from
-series products), so a sweep is a genuine check of the identity rather than
-a tautology of series arithmetic; the series-level fact f^r f^s = f^(r+s)
-is tested separately as an invariant.
+case.  A sweep builds the closed-form tables of c_r, c_s and c_p once, sums
+each left side from the first two and reads the right side from the third.
+No series product enters, so a sweep is a genuine check of the identity
+rather than a tautology of series arithmetic; the series-level fact
+f^r f^s = f^(r+s) is tested separately as an invariant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterator, Optional
 
 from .formulas import KirkmanIndex, closed_form_coeff, power_series, radical_series
-from .lagrange import lagrange_coeff
-from .series import Rect, Scalar
-
-
-@dataclass(frozen=True)
-class IdentityParams:
-    """One convolution cell: powers r and s, outer indices M and N."""
-
-    r: int
-    s: int
-    M: int
-    N: int
-
-    def __post_init__(self) -> None:
-        if self.r < 1 or self.s < 1:
-            raise ValueError(f"powers must be >= 1, got r={self.r} s={self.s}")
-        if self.M < 0 or self.N < 0:
-            raise ValueError(f"indices must be non-negative, got M={self.M} N={self.N}")
-
-    @property
-    def p(self) -> int:
-        return self.r + self.s
+from .lagrange import lagrange_table
+from .series import BiSeries, Rect, Scalar
 
 
 @dataclass(frozen=True)
@@ -88,13 +70,19 @@ class CoeffReport:
         return all(v == values[0] for v in values)
 
 
-def convolution_lhs(params: IdentityParams) -> int:
-    """The double convolution sum, evaluated exactly from closed forms."""
+def closed_table(p: int, window: Rect) -> BiSeries:
+    """The closed form c_p(m, n) at every cell of ``window``."""
+    return BiSeries.from_table(
+        window, {(m, n): closed_form_coeff(p, m, n) for m, n in window.cells()}
+    )
+
+
+def convolution_lhs(x: BiSeries, y: BiSeries, M: int, N: int) -> int:
+    """Cell (M, N) of the product of the tables x and y, summed exactly."""
+    if not (x.rect.contains(M, N) and y.rect.contains(M, N)):
+        raise IndexError(f"cell ({M}, {N}) outside {x.rect} or {y.rect}")
     return sum(
-        closed_form_coeff(params.r, m, n)
-        * closed_form_coeff(params.s, params.M - m, params.N - n)
-        for m in range(params.M + 1)
-        for n in range(params.N + 1)
+        sum(map(mul, x.coeff[m][: N + 1], y.coeff[M - m][N::-1])) for m in range(M + 1)
     )
 
 
@@ -102,12 +90,10 @@ def sweep_cells(
     r: int, s: int, max_M: int, max_N: int
 ) -> Iterator[tuple[int, int, int, int]]:
     """Yield (M, N, lhs, rhs) over the sweep range in lexicographic order."""
-    p = r + s
-    for M in range(max_M + 1):
-        for N in range(max_N + 1):
-            lhs = convolution_lhs(IdentityParams(r, s, M, N))
-            rhs = closed_form_coeff(p, M, N)
-            yield M, N, lhs, rhs
+    window = Rect(max_M, max_N)
+    x, y, rhs = closed_table(r, window), closed_table(s, window), closed_table(r + s, window)
+    for M, N in window.cells():
+        yield M, N, convolution_lhs(x, y, M, N), rhs[M, N]
 
 
 def verify_generalized(r: int, s: int, max_M: int, max_N: int) -> VerifyReport:
@@ -136,23 +122,20 @@ def cross_check_methods(p: int, max_m: int, max_n: int) -> list[CoeffReport]:
 
     Routes: closed-form binomials, truncated powering of the fixpoint
     series, and Lagrange inversion; for p = 1 the radical construction is
-    included as a fourth value.
+    included as a fourth value.  Each route builds its table once.
     """
-    if p < 1:
-        raise ValueError(f"power must be >= 1, got {p}")
     window = Rect(max_m, max_n)
+    closed = closed_table(p, window)
     by_series = power_series(p, window)
+    by_lagrange = lagrange_table(p, window)
     by_radical = radical_series(window) if p == 1 else None
-    reports = []
-    for m in range(max_m + 1):
-        for n in range(max_n + 1):
-            reports.append(
-                CoeffReport(
-                    index=KirkmanIndex(p, m, n),
-                    value_closed=closed_form_coeff(p, m, n),
-                    value_series=by_series[m, n],
-                    value_lagrange=lagrange_coeff(p, m, n),
-                    value_radical=None if by_radical is None else by_radical[m, n],
-                )
-            )
-    return reports
+    return [
+        CoeffReport(
+            index=KirkmanIndex(p, m, n),
+            value_closed=closed[m, n],
+            value_series=by_series[m, n],
+            value_lagrange=by_lagrange[m, n],
+            value_radical=None if by_radical is None else by_radical[m, n],
+        )
+        for m, n in window.cells()
+    ]

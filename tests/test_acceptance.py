@@ -16,6 +16,7 @@ from fractions import Fraction
 import kirkman.verifier as verifier_module
 from kirkman.cli import main
 from kirkman.formulas import binomial, closed_form_coeff, fixpoint_series, power_series, radical_series
+from kirkman.lagrange import lagrange_table
 from kirkman.series import BiSeries, Rect, poly
 
 from oracles import catalan, quadratic_residual, random_series
@@ -207,7 +208,9 @@ def test_criterion_10_mutation(monkeypatch, capsys):
     assert last == {"M": 1, "N": 0, "lhs": 4, "rhs": 5, "status": "fail"}
 
     monkeypatch.setattr(
-        verifier_module, "lagrange_coeff", lambda p, m, n: true_closed(p, m, n) + 7
+        verifier_module,
+        "lagrange_table",
+        lambda p, window: lagrange_table(p, window) + BiSeries.from_table(window, {(0, 0): 7}),
     )
     code = main(["crosscheck", "--p", "1", "--max-m", "1", "--max-n", "1"])
     out = capsys.readouterr().out

@@ -302,8 +302,13 @@ def _corrupt_route(monkeypatch, route, delta):
 
 @pytest.mark.parametrize(
     "route, name",
-    [("lagrange_coeff", "lagrange"), ("power_series", "series"), ("radical_series", "radical")],
-    ids=["lagrange", "power_series", "radical_series"],
+    [
+        ("lagrange_table", "lagrange"),
+        ("power_series", "series"),
+        ("radical_series", "radical"),
+        ("closed_form_coeff", "closed"),
+    ],
+    ids=["lagrange", "power_series", "radical_series", "closed_form_coeff"],
 )
 def test_crosscheck_exits_1_naming_routes(monkeypatch, capsys, route, name):
     _corrupt_route(monkeypatch, route, 7)

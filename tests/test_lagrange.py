@@ -9,9 +9,11 @@ from kirkman.lagrange import (
     build_phi,
     fixed_point_residual,
     lagrange_coeff,
+    lagrange_table,
     solve_y_fixpoint,
 )
 from kirkman.series import BiSeries, Rect, poly
+from kirkman.verifier import closed_table
 
 from oracles import catalan
 
@@ -54,6 +56,15 @@ def test_lagrange_agrees_with_closed_form():
         for m in range(5):
             for n in range(5):
                 assert lagrange_coeff(p, m, n) == closed_form_coeff(p, m, n)
+
+
+@pytest.mark.parametrize(
+    "window", [Rect(7, 4), Rect(0, 6), Rect(6, 0), Rect(5, 5)], ids=lambda w: f"{w.max_a}x{w.max_b}"
+)
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_lagrange_table_equals_closed_table(p, window):
+    # rows m < max_m come from the running power, which no corner read reaches
+    assert lagrange_table(p, window) == closed_table(p, window)
 
 
 def test_phi_square_first_y_row():

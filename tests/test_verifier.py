@@ -6,12 +6,13 @@ import pytest
 
 import kirkman.verifier as verifier_module
 from kirkman.formulas import KirkmanIndex, closed_form_coeff, power_series
-from kirkman.series import Rect
+from kirkman.lagrange import lagrange_table
+from kirkman.series import BiSeries, Rect
 from kirkman.verifier import (
     CoeffReport,
     Counterexample,
-    IdentityParams,
     VerifyReport,
+    closed_table,
     convolution_lhs,
     cross_check_methods,
     sweep_cells,
@@ -23,25 +24,27 @@ from oracles import catalan
 
 
 def test_identity_params_validation():
-    with pytest.raises(ValueError, match="powers"):
-        IdentityParams(0, 1, 0, 0)
+    with pytest.raises(ValueError, match="power"):
+        verify_generalized(0, 1, 0, 0)
     with pytest.raises(ValueError, match="non-negative"):
-        IdentityParams(1, 1, -1, 0)
-    assert IdentityParams(2, 3, 0, 0).p == 5
+        verify_generalized(1, 1, -1, 0)
 
 
 def test_convolution_lhs_examples():
-    assert convolution_lhs(IdentityParams(1, 1, 0, 0)) == 1
-    assert convolution_lhs(IdentityParams(1, 1, 1, 0)) == 4
-    assert convolution_lhs(IdentityParams(2, 1, 1, 1)) == 27
+    window = Rect(1, 1)
+    one, two = closed_table(1, window), closed_table(2, window)
+    assert convolution_lhs(one, one, 0, 0) == 1
+    assert convolution_lhs(one, one, 1, 0) == 4
+    assert convolution_lhs(two, one, 1, 1) == 27
 
 
 def test_convolution_lhs_is_a_product_cell():
     window = Rect(5, 5)
     for r, s in [(1, 1), (2, 1), (2, 3)]:
         product = power_series(r, window) * power_series(s, window)
+        x, y = closed_table(r, window), closed_table(s, window)
         for M, N in window.cells():
-            assert convolution_lhs(IdentityParams(r, s, M, N)) == product[M, N]
+            assert convolution_lhs(x, y, M, N) == product[M, N]
 
 
 def test_power_product_matches_power_sum():
@@ -149,7 +152,10 @@ def test_verify_reports_first_counterexample(monkeypatch):
 
 def test_cross_check_detects_route_disagreement(monkeypatch):
     monkeypatch.setattr(
-        verifier_module, "lagrange_coeff", lambda p, m, n: closed_form_coeff(p, m, n) + 7
+        verifier_module,
+        "lagrange_table",
+        lambda p, window: lagrange_table(p, window)
+        + BiSeries.from_table(window, {cell: 7 for cell in window.cells()}),
     )
     reports = cross_check_methods(1, 1, 1)
     assert all(not r.agree for r in reports)
