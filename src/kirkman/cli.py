@@ -11,7 +11,7 @@ import argparse
 import csv
 import json
 import sys
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import formulas, verifier
 from .lagrange import lagrange_table
@@ -32,24 +32,20 @@ ROUTES = {
 }
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _int_at_least(low: int) -> Callable[[str], int]:
+    # an argparse type for integers >= low, where low is 0 or 1
+    word = {0: "non-negative", 1: "positive"}[low]
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a {word} integer, got {value}")
+        return value
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
-    return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,33 +56,33 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     coeff = sub.add_parser("coeff", help="one coefficient by the closed form")
-    coeff.add_argument("--p", type=_positive_int, required=True)
-    coeff.add_argument("--m", type=_nonnegative_int, required=True)
-    coeff.add_argument("--n", type=_nonnegative_int, required=True)
+    coeff.add_argument("--p", type=_int_at_least(1), required=True)
+    coeff.add_argument("--m", type=_int_at_least(0), required=True)
+    coeff.add_argument("--n", type=_int_at_least(0), required=True)
     coeff.add_argument("--format", choices=FORMATS, default="pretty")
     coeff.set_defaults(handler=_cmd_coeff)
 
     expand = sub.add_parser("expand", help="full coefficient table over a rectangle")
-    expand.add_argument("--p", type=_positive_int, required=True)
-    expand.add_argument("--max-m", type=_nonnegative_int, required=True)
-    expand.add_argument("--max-n", type=_nonnegative_int, required=True)
+    expand.add_argument("--p", type=_int_at_least(1), required=True)
+    expand.add_argument("--max-m", type=_int_at_least(0), required=True)
+    expand.add_argument("--max-n", type=_int_at_least(0), required=True)
     expand.add_argument("--method", choices=ROUTES, default="closed")
     expand.add_argument("--format", choices=FORMATS, default="pretty")
     expand.set_defaults(handler=_cmd_expand)
 
     verify = sub.add_parser("verify", help="sweep the convolution identity")
-    verify.add_argument("--r", type=_positive_int, required=True)
-    verify.add_argument("--s", type=_positive_int, required=True)
-    verify.add_argument("--max-M", type=_nonnegative_int, required=True)
-    verify.add_argument("--max-N", type=_nonnegative_int, default=None)
+    verify.add_argument("--r", type=_int_at_least(1), required=True)
+    verify.add_argument("--s", type=_int_at_least(1), required=True)
+    verify.add_argument("--max-M", type=_int_at_least(0), required=True)
+    verify.add_argument("--max-N", type=_int_at_least(0), default=None)
     verify.add_argument("--cayley", action="store_true", help="restrict to N = 0")
     verify.add_argument("--format", choices=FORMATS, default="pretty")
     verify.set_defaults(handler=_cmd_verify)
 
     crosscheck = sub.add_parser("crosscheck", help="compare all routes cellwise")
-    crosscheck.add_argument("--p", type=_positive_int, required=True)
-    crosscheck.add_argument("--max-m", type=_nonnegative_int, required=True)
-    crosscheck.add_argument("--max-n", type=_nonnegative_int, required=True)
+    crosscheck.add_argument("--p", type=_int_at_least(1), required=True)
+    crosscheck.add_argument("--max-m", type=_int_at_least(0), required=True)
+    crosscheck.add_argument("--max-n", type=_int_at_least(0), required=True)
     crosscheck.add_argument("--format", choices=FORMATS, default="pretty")
     crosscheck.set_defaults(handler=_cmd_crosscheck)
 

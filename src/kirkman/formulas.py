@@ -9,12 +9,15 @@ Its coefficients interpolate Catalan numbers ([z^m w^0] f = Catalan(m+1))
 and the geometric row ([z^0 w^n] f = 1).  This module provides:
 
   * ``closed_form_coeff`` -- the binomial closed form for [z^m w^n] f^p,
-  * ``fixpoint_series``   -- f by fixpoint iteration on the quadratic,
+  * ``fixpoint_series``   -- f in one pass of the quadratic's coefficient
+                             recurrence,
   * ``radical_series``    -- f from its radical expression, as an
                              independent witness,
   * ``power_series``      -- f^p by truncated powering.
 
-All routes agree cellwise; the verifier module sweeps that agreement.
+All routes agree cellwise; the verifier module sweeps that agreement.  The
+series routes share only the product-cell kernel of ``series``; none reads
+another route's table.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .series import BiSeries, Rect, poly
+from .series import BiSeries, Rect, _product_cell, poly
 
 
 @dataclass(frozen=True)
@@ -71,19 +74,37 @@ def closed_form_coeff(p: int, m: int, n: int) -> int:
 def fixpoint_series(window: Rect) -> BiSeries:
     """f on ``window`` as the power-series root of the defining quadratic.
 
-    Iterates f <- 1 + (2z+w) f + z(z+w) f^2 starting from 1.  Both update
-    multipliers have total degree >= 1, so each pass raises the total-degree
-    valuation of the error by at least one: after max_a + max_b passes the
-    table is exact on the window.  The iteration converges to the root with
-    constant term 1; the other root of the quadratic is not a power series.
+    One row-major pass of the quadratic's coefficient form,
+
+        f[a,b] = [a=b=0] + 2 f[a-1,b] + f[a,b-1] + (f^2)[a-2,b] + (f^2)[a-1,b-1],
+
+    filling f and f^2 together: cell (a, b) of f^2 is one product cell of the
+    rows filled so far, taken as soon as f[a,b] is known, and every cell the
+    recurrence reads lies in an earlier row or earlier in the same row.  This
+    is the root with constant term 1; the other root of the quadratic is not
+    a power series.
+
+    This is the recurrence the test oracle ``quadratic_table`` also uses, so
+    the guards that do not depend on how f is built are the quadratic
+    residual (acceptance criterion 6), which must vanish on any
+    construction, and the radical route, which reaches f by a square root
+    and two exact divisions instead.
     """
-    one = BiSeries.one(window)
-    linear = poly(window, {(1, 0): 2, (0, 1): 1})
-    quadratic = poly(window, {(2, 0): 1, (1, 1): 1})
-    f = one
-    for _ in range(window.max_a + window.max_b):
-        f = one + linear * f + quadratic * (f * f)
-    return f
+    f = [[0] * (window.max_b + 1) for _ in range(window.max_a + 1)]
+    square = [[0] * (window.max_b + 1) for _ in range(window.max_a + 1)]
+    for a, b in window.cells():
+        value = 1 if a == b == 0 else 0
+        if a:
+            value += 2 * f[a - 1][b]
+        if b:
+            value += f[a][b - 1]
+        if a >= 2:
+            value += square[a - 2][b]
+        if a and b:
+            value += square[a - 1][b - 1]
+        f[a][b] = value
+        square[a][b] = _product_cell(f, f, a, b)
+    return BiSeries(window, tuple(tuple(row) for row in f))
 
 
 def radical_series(window: Rect) -> BiSeries:

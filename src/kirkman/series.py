@@ -23,12 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from operator import mul
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
-
-_ZERO = 0
-_ONE = 1
 
 
 def _exact(value: Scalar) -> Scalar:
@@ -61,13 +59,12 @@ class Rect:
         return f"({self.max_a}, {self.max_b})"
 
 
-def _graded_cells(max_a: int, max_b: int) -> Iterator[tuple[int, int]]:
-    # Total degree first, then lexicographic.  The coefficient recurrences
-    # below only need an order refining total degree; fixing this one makes
-    # runs reproducible.
-    for d in range(max_a + max_b + 1):
-        for a in range(max(0, d - max_b), min(d, max_a) + 1):
-            yield a, d - a
+def _product_cell(
+    x: Sequence[Sequence[Scalar]], y: Sequence[Sequence[Scalar]], a: int, b: int
+) -> Scalar:
+    # cell (a, b) of the truncated product of two coefficient tables: the sum
+    # of x[i][j] * y[a-i][b-j]; it reads only cells componentwise <= (a, b)
+    return sum(sum(map(mul, x[i][: b + 1], y[a - i][b::-1])) for i in range(a + 1))
 
 
 @dataclass(frozen=True, repr=False)
@@ -102,7 +99,7 @@ class BiSeries:
         """Series with the given coefficients and zeros elsewhere."""
         if isinstance(entries, Mapping):
             entries = entries.items()
-        table = [[_ZERO] * (rect.max_b + 1) for _ in range(rect.max_a + 1)]
+        table = [[0] * (rect.max_b + 1) for _ in range(rect.max_a + 1)]
         seen: set[tuple[int, int]] = set()
         for (a, b), value in entries:
             if not rect.contains(a, b):
@@ -115,7 +112,7 @@ class BiSeries:
 
     @classmethod
     def zero(cls, rect: Rect) -> BiSeries:
-        return cls(rect, tuple((_ZERO,) * (rect.max_b + 1) for _ in range(rect.max_a + 1)))
+        return cls(rect, tuple((0,) * (rect.max_b + 1) for _ in range(rect.max_a + 1)))
 
     @classmethod
     def one(cls, rect: Rect) -> BiSeries:
@@ -137,13 +134,6 @@ class BiSeries:
             rect,
             tuple(tuple(row[: rect.max_b + 1]) for row in self.coeff[: rect.max_a + 1]),
         )
-
-    def equals_on(self, other: BiSeries, rect: Rect) -> bool:
-        """Exact cellwise comparison on ``rect``."""
-        for series in (self, other):
-            if rect.max_a > series.rect.max_a or rect.max_b > series.rect.max_b:
-                raise ValueError(f"rectangle out of range: {rect} not inside {series.rect}")
-        return all(self.coeff[a][b] == other.coeff[a][b] for a, b in rect.cells())
 
     # ---- ring operations ----
 
@@ -179,22 +169,13 @@ class BiSeries:
         """Truncated product: cell (a, b) is sum of x[i,j] * y[a-i,b-j]."""
         self._require_same_rect(other)
         x, y = self.coeff, other.coeff
-        max_a, max_b = self.rect.max_a, self.rect.max_b
-        rows = []
-        for a in range(max_a + 1):
-            row = []
-            for b in range(max_b + 1):
-                acc = _ZERO
-                for i in range(a + 1):
-                    xi = x[i]
-                    yk = y[a - i]
-                    for j in range(b + 1):
-                        v = xi[j]
-                        if v:
-                            acc += v * yk[b - j]
-                row.append(acc)
-            rows.append(tuple(row))
-        return BiSeries(self.rect, tuple(rows))
+        return BiSeries(
+            self.rect,
+            tuple(
+                tuple(_product_cell(x, y, a, b) for b in range(self.rect.max_b + 1))
+                for a in range(self.rect.max_a + 1)
+            ),
+        )
 
     def __pow__(self, exponent: int) -> BiSeries:
         """Truncated power by binary exponentiation; exponent 0 gives 1."""
@@ -216,57 +197,42 @@ class BiSeries:
     def reciprocal(self) -> BiSeries:
         """Multiplicative inverse on the rectangle.
 
-        Coefficients are produced in graded-lexicographic order by the
-        recurrence r[a,b] = -(sum of x[i,j] r[a-i,b-j] over (i,j) != (0,0))
-        / x[0,0]; every referenced cell has strictly smaller total degree.
+        Coefficients are filled in row-major order by the recurrence
+        r[a,b] = -(sum of x[i,j] r[a-i,b-j] over (i,j) != (0,0)) / x[0,0].
+        Every cell it reads lies componentwise below (a, b), so it is
+        already filled; the excluded term x[0,0] r[a,b] drops out of the
+        full product cell because r[a,b] still holds 0 while it is summed.
         """
         x = self.coeff
         if x[0][0] == 0:
             raise ValueError("not invertible: zero constant term")
-        max_a, max_b = self.rect.max_a, self.rect.max_b
-        inv = _exact(Fraction(_ONE, x[0][0]))
-        out: list[list[Scalar]] = [[_ZERO] * (max_b + 1) for _ in range(max_a + 1)]
+        inv = _exact(Fraction(1, x[0][0]))
+        out: list[list[Scalar]] = [[0] * len(row) for row in x]
         out[0][0] = inv
-        for a, b in _graded_cells(max_a, max_b):
-            if a == 0 and b == 0:
-                continue
-            acc = _ZERO
-            for i in range(a + 1):
-                xi = x[i]
-                oi = out[a - i]
-                for j in range(b + 1):
-                    if i == 0 and j == 0:
-                        continue
-                    acc += xi[j] * oi[b - j]
-            out[a][b] = _exact(-inv * acc)
+        for a, b in self.rect.cells():
+            if a or b:
+                out[a][b] = _exact(-inv * _product_cell(x, out, a, b))
         return BiSeries(self.rect, tuple(tuple(row) for row in out))
 
     def sqrt(self) -> BiSeries:
         """Square root with constant term +1.
 
         Only radicands with constant term exactly 1 are supported; the sign
-        choice is fixed to +1.  Graded-lexicographic recurrence
-        s[a,b] = (x[a,b] - sum of interior products) / 2, where the interior
-        excludes the two boundary pairings with s[0,0] and s[a,b].
+        choice is fixed to +1.  Coefficients are filled in row-major order by
+        s[a,b] = (x[a,b] - interior) / 2, where the interior is the product
+        cell (a, b) of s with itself less the two pairings of s[0,0] with
+        s[a,b].  Every cell it reads lies componentwise below (a, b), and
+        those two pairings drop out because s[a,b] still holds 0 while the
+        cell is summed.
         """
         x = self.coeff
         if x[0][0] != 1:
             raise ValueError("unsupported radicand: constant term must be 1")
-        max_a, max_b = self.rect.max_a, self.rect.max_b
-        out: list[list[Scalar]] = [[_ZERO] * (max_b + 1) for _ in range(max_a + 1)]
-        out[0][0] = _ONE
-        for a, b in _graded_cells(max_a, max_b):
-            if a == 0 and b == 0:
-                continue
-            acc = _ZERO
-            for i in range(a + 1):
-                oi = out[i]
-                ok = out[a - i]
-                for j in range(b + 1):
-                    if (i == 0 and j == 0) or (i == a and j == b):
-                        continue
-                    acc += oi[j] * ok[b - j]
-            out[a][b] = _exact(Fraction(x[a][b] - acc, 2))
+        out: list[list[Scalar]] = [[0] * len(row) for row in x]
+        out[0][0] = 1
+        for a, b in self.rect.cells():
+            if a or b:
+                out[a][b] = _exact(Fraction(x[a][b] - _product_cell(out, out, a, b), 2))
         return BiSeries(self.rect, tuple(tuple(row) for row in out))
 
     # ---- exact divisions ----
@@ -300,7 +266,7 @@ class BiSeries:
         for a in range(target.max_a + 1):
             row = []
             for n in range(target.max_b + 1):
-                acc = _ZERO
+                acc = 0
                 for k in range(n + 1):
                     if k % 2 == 0:
                         acc += x[a + 1 + k][n - k]

@@ -16,12 +16,11 @@ f^r f^s = f^(r+s) is tested separately as an invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 from typing import Iterator, Optional
 
 from .formulas import KirkmanIndex, closed_form_coeff, power_series, radical_series
 from .lagrange import lagrange_table
-from .series import BiSeries, Rect, Scalar
+from .series import BiSeries, Rect, Scalar, _product_cell
 
 
 @dataclass(frozen=True)
@@ -81,9 +80,7 @@ def convolution_lhs(x: BiSeries, y: BiSeries, M: int, N: int) -> int:
     """Cell (M, N) of the product of the tables x and y, summed exactly."""
     if not (x.rect.contains(M, N) and y.rect.contains(M, N)):
         raise IndexError(f"cell ({M}, {N}) outside {x.rect} or {y.rect}")
-    return sum(
-        sum(map(mul, x.coeff[m][: N + 1], y.coeff[M - m][N::-1])) for m in range(M + 1)
-    )
+    return _product_cell(x.coeff, y.coeff, M, N)
 
 
 def sweep_cells(

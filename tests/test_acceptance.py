@@ -218,4 +218,19 @@ def test_criterion_10_mutation(monkeypatch, capsys):
     assert out.startswith("FAIL")
     for route in ("closed=", "series=", "lagrange=", "radical="):
         assert route in out
+
+    def seven(window):
+        return BiSeries.from_table(window, {(0, 0): 7})
+
+    for name, corrupted_route, shown in (
+        ("power_series", lambda p, window: power_series(p, window) + seven(window), "series=8"),
+        ("radical_series", lambda window: radical_series(window) + seven(window), "radical=8"),
+    ):
+        monkeypatch.undo()
+        monkeypatch.setattr(verifier_module, name, corrupted_route)
+        code = main(["crosscheck", "--p", "1", "--max-m", "1", "--max-n", "1"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.startswith("FAIL")
+        assert shown in out
     return None

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
 from fractions import Fraction
 
 import pytest
 
+from kirkman import formulas, lagrange, series
 from kirkman.formulas import (
     KirkmanIndex,
     binomial,
@@ -89,10 +92,15 @@ def test_fixpoint_catalan_row():
     assert [catalan(m + 1) for m in range(5)] == [1, 2, 5, 14, 42]
 
 
-def test_fixpoint_matches_recurrence_oracle():
-    f = fixpoint_series(Rect(6, 6))
-    table = quadratic_table(6, 6)
-    for a, b in Rect(6, 6).cells():
+@pytest.mark.parametrize(
+    "window",
+    [Rect(6, 6), Rect(12, 3), Rect(3, 12), Rect(9, 0), Rect(0, 9)],
+    ids=lambda w: f"{w.max_a}x{w.max_b}",
+)
+def test_fixpoint_matches_recurrence_oracle(window):
+    f = fixpoint_series(window)
+    table = quadratic_table(window.max_a, window.max_b)
+    for a, b in window.cells():
         assert f[a, b] == table[a, b]
 
 
@@ -117,7 +125,7 @@ def test_radical_w_row_is_geometric():
 
 def test_radical_equals_on_wide_window():
     window = Rect(8, 8)
-    assert fixpoint_series(window).equals_on(radical_series(window), window)
+    assert fixpoint_series(window) == radical_series(window)
 
 
 def test_radical_quadratic_residual_vanishes():
@@ -176,3 +184,38 @@ def test_integrality_small_sweep():
         for m in range(13):
             for n in range(13):
                 assert isinstance(closed_form_coeff(p, m, n), int)
+
+
+def _names(source) -> set[str]:
+    # every name, attribute, imported name and imported module in the source
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(source))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.add((node.module or "").rpartition(".")[2])
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name.rpartition(".")[2] for alias in node.names)
+    return names
+
+
+def test_series_routes_never_reach_the_closed_form():
+    # the routes share the series kernels but none is rewritten in terms of
+    # another: no series or Lagrange code names the binomial closed form, and
+    # the Lagrange and quadratic modules do not import each other
+    sources = [
+        formulas.fixpoint_series,
+        formulas.radical_series,
+        formulas.power_series,
+        lagrange.build_phi,
+        lagrange.lagrange_table,
+        series,
+    ]
+    forbidden = {"closed_form_coeff", "binomial", "comb", "closed_table"}
+    for source in sources:
+        assert not _names(source) & forbidden, (source.__name__, _names(source) & forbidden)
+    assert "formulas" not in _names(lagrange)
+    assert "lagrange" not in _names(formulas)

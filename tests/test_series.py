@@ -249,11 +249,11 @@ def test_restrict_and_equals_on():
     sub = Rect(2, 2)
     restricted = x.restrict(sub)
     assert restricted.rect == sub
-    assert restricted.equals_on(x, sub)
+    assert restricted == x.restrict(sub)
     with pytest.raises(ValueError, match="out of range"):
         x.restrict(Rect(5, 0))
     with pytest.raises(ValueError, match="out of range"):
-        restricted.equals_on(x, Rect(3, 3))
+        restricted.restrict(Rect(3, 3))
 
 
 def test_poly_clips_outside_terms():
