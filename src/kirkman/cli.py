@@ -1,8 +1,9 @@
 """Command-line front end: coefficient queries, tables, sweeps, cross-checks.
 
 Exit codes: 0 success / identity verified, 1 mathematical disagreement
-found, 2 usage error.  Data goes to stdout, diagnostics to stderr.  All
-numbers are printed in full decimal expansion.
+found, 2 usage error; a reader closing the pipe early ends it quietly by
+SIGPIPE, as it ends ``cat`` (shell status 141).  Data goes to stdout,
+diagnostics to stderr.  All numbers are printed in full decimal expansion.
 """
 
 from __future__ import annotations
@@ -10,11 +11,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import signal
 import sys
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import formulas, verifier
-from .lagrange import lagrange_table
 from .series import Rect
 
 EXIT_OK = 0
@@ -22,14 +23,6 @@ EXIT_DISAGREEMENT = 1
 EXIT_USAGE = 2
 
 FORMATS = ("pretty", "csv", "json-lines")
-# every route builds the table of f^p on a window; each name is looked up
-# when called, so a patched or traced module attribute is the one that runs
-ROUTES = {
-    "closed": lambda p, window: verifier.closed_table(p, window),
-    "series": lambda p, window: formulas.power_series(p, window),
-    "radical": lambda p, window: formulas.radical_series(window),
-    "lagrange": lambda p, window: lagrange_table(p, window),
-}
 
 
 def _int_at_least(low: int) -> Callable[[str], int]:
@@ -66,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     expand.add_argument("--p", type=_int_at_least(1), required=True)
     expand.add_argument("--max-m", type=_int_at_least(0), required=True)
     expand.add_argument("--max-n", type=_int_at_least(0), required=True)
-    expand.add_argument("--method", choices=ROUTES, default="closed")
+    expand.add_argument("--method", choices=verifier.ROUTES, default="closed")
     expand.add_argument("--format", choices=FORMATS, default="pretty")
     expand.set_defaults(handler=_cmd_expand)
 
@@ -90,6 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    if hasattr(signal, "SIGPIPE"):
+        # die quietly on a closed pipe, not in a traceback with exit 1 ("disagreement")
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     parser = build_parser()
     args = parser.parse_args(argv)
     return args.handler(args, parser)
@@ -128,10 +124,10 @@ def _cmd_coeff(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def _cmd_expand(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.method == "radical" and args.p != 1:
-        parser.error("--method radical is only defined for --p 1")
     window = Rect(args.max_m, args.max_n)
-    table = ROUTES[args.method](args.p, window)
+    table = verifier.ROUTES[args.method](args.p, window)
+    if table is None:
+        parser.error(f"--method {args.method} is only defined for --p 1")
     if args.format == "pretty":
         for m, n in window.cells():
             print(f"[z^{m} w^{n}] {table[m, n]}")
@@ -191,32 +187,11 @@ def _cmd_crosscheck(args: argparse.Namespace, parser: argparse.ArgumentParser) -
             )
         else:
             first = next(r for r in reports if not r.agree)
-            parts = [
-                f"closed={first.value_closed}",
-                f"series={first.value_series}",
-                f"lagrange={first.value_lagrange}",
-            ]
-            if first.value_radical is not None:
-                parts.append(f"radical={first.value_radical}")
-            print(
-                f"FAIL p={args.p}: disagreement at m={first.index.m} n={first.index.n}: "
-                + " ".join(parts)
-            )
+            shown = " ".join(f"{k}={v}" for k, v in first.values.items() if v is not None)
+            print(f"FAIL p={args.p}: disagreement at m={first.m} n={first.n}: {shown}")
     else:
-        header = ("m", "n", "closed", "series", "lagrange", "radical", "agree")
-        rows = (
-            (
-                r.index.m,
-                r.index.n,
-                r.value_closed,
-                r.value_series,
-                r.value_lagrange,
-                r.value_radical,
-                r.agree,
-            )
-            for r in reports
-        )
-        _emit_rows(args.format, header, rows)
+        rows = ((r.m, r.n, *r.values.values(), r.agree) for r in reports)
+        _emit_rows(args.format, ("m", "n", *verifier.ROUTES, "agree"), rows)
     return EXIT_OK if all_agree else EXIT_DISAGREEMENT
 
 

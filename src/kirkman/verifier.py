@@ -16,9 +16,9 @@ f^r f^s = f^(r+s) is tested separately as an invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
-from .formulas import KirkmanIndex, closed_form_coeff, power_series, radical_series
+from .formulas import closed_form_coeff, power_series, radical_series
 from .lagrange import lagrange_table
 from .series import BiSeries, Rect, Scalar, _product_cell
 
@@ -53,20 +53,16 @@ class VerifyReport:
 
 @dataclass(frozen=True)
 class CoeffReport:
-    """One coefficient with its value on every computed route."""
+    """One cell's value on every route, keyed as ROUTES (None where a route does not apply)."""
 
-    index: KirkmanIndex
-    value_closed: int
-    value_series: Scalar
-    value_lagrange: int
-    value_radical: Optional[Scalar] = None  # populated only for p = 1
+    m: int
+    n: int
+    values: dict[str, Optional[Scalar]]
 
     @property
     def agree(self) -> bool:
-        values = [self.value_closed, self.value_series, self.value_lagrange]
-        if self.value_radical is not None:
-            values.append(self.value_radical)
-        return all(v == values[0] for v in values)
+        present = [v for v in self.values.values() if v is not None]
+        return all(v == present[0] for v in present)
 
 
 def closed_table(p: int, window: Rect) -> BiSeries:
@@ -81,6 +77,16 @@ def convolution_lhs(x: BiSeries, y: BiSeries, M: int, N: int) -> int:
     if not (x.rect.contains(M, N) and y.rect.contains(M, N)):
         raise IndexError(f"cell ({M}, {N}) outside {x.rect} or {y.rect}")
     return _product_cell(x.coeff, y.coeff, M, N)
+
+
+# each route builds the table of f^p on a window, in crosscheck's column order;
+# builders are looked up when called, so a patched or traced binding is the one that runs
+ROUTES: dict[str, Callable[[int, Rect], Optional[BiSeries]]] = {
+    "closed": lambda p, window: closed_table(p, window),
+    "series": lambda p, window: power_series(p, window),
+    "lagrange": lambda p, window: lagrange_table(p, window),
+    "radical": lambda p, window: radical_series(window) if p == 1 else None,
+}
 
 
 def sweep_cells(
@@ -115,24 +121,14 @@ def verify_cayley(max_M: int) -> VerifyReport:
 
 
 def cross_check_methods(p: int, max_m: int, max_n: int) -> list[CoeffReport]:
-    """Compute every cell of the (max_m, max_n) window on all routes.
+    """Compute every cell of the (max_m, max_n) window on all ROUTES.
 
-    Routes: closed-form binomials, truncated powering of the fixpoint
-    series, and Lagrange inversion; for p = 1 the radical construction is
-    included as a fourth value.  Each route builds its table once.
+    Each route builds its table once; one that does not exist for p
+    contributes None to every cell.
     """
     window = Rect(max_m, max_n)
-    closed = closed_table(p, window)
-    by_series = power_series(p, window)
-    by_lagrange = lagrange_table(p, window)
-    by_radical = radical_series(window) if p == 1 else None
+    tables = {name: build(p, window) for name, build in ROUTES.items()}
     return [
-        CoeffReport(
-            index=KirkmanIndex(p, m, n),
-            value_closed=closed[m, n],
-            value_series=by_series[m, n],
-            value_lagrange=by_lagrange[m, n],
-            value_radical=None if by_radical is None else by_radical[m, n],
-        )
+        CoeffReport(m, n, {name: None if t is None else t[m, n] for name, t in tables.items()})
         for m, n in window.cells()
     ]

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import kirkman
 import kirkman.verifier as verifier_module
 from kirkman.cli import main
 from kirkman.formulas import closed_form_coeff
@@ -120,11 +125,14 @@ def test_expand_radical_rejected_for_higher_powers(capsys):
     assert "radical" in capsys.readouterr().err
 
 
-def test_expand_lagrange_matches_closed(capsys):
-    base = ["--p", "2", "--max-m", "2", "--max-n", "2", "--format", "csv"]
+@pytest.mark.parametrize("method", verifier_module.ROUTES)
+def test_expand_matches_closed(capsys, method):
+    p = "1" if method == "radical" else "2"
+    base = ["--p", p, "--max-m", "2", "--max-n", "2", "--format", "csv"]
     _, closed_out, _ = run(["expand", *base, "--method", "closed"], capsys)
-    _, lagrange_out, _ = run(["expand", *base, "--method", "lagrange"], capsys)
-    assert closed_out == lagrange_out
+    code, method_out, _ = run(["expand", *base, "--method", method], capsys)
+    assert code == 0
+    assert method_out == closed_out
 
 
 def test_expand_pretty(capsys):
@@ -330,3 +338,26 @@ def test_crosscheck_json_lines_renders_non_integer_as_fraction(monkeypatch, caps
         '{"m": 0, "n": 0, "closed": 1, "series": "1/2", "lagrange": 1, "radical": 1, '
         '"agree": false}'
     )
+
+
+# ---- a reader that stops early ----
+
+
+def test_closed_pipe_ends_quietly():
+    # 184 KB of output, more than a pipe buffer holds, so the command is still
+    # writing when the reader closes its end; it must neither print a traceback
+    # nor exit with a code that means success, disagreement or a usage error
+    env = {**os.environ, "PYTHONPATH": str(Path(kirkman.__file__).parents[1])}
+    argv = ["expand", "--p", "1", "--max-m", "60", "--max-n", "60"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "kirkman.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        assert proc.stdout.readline() == b"[z^0 w^0] 1\n"
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err = proc.stderr.read()
+    assert code not in (0, 1, 2)
+    assert b"Traceback" not in err

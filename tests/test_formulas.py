@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import ast
 import inspect
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -219,3 +221,19 @@ def test_series_routes_never_reach_the_closed_form():
         assert not _names(source) & forbidden, (source.__name__, _names(source) & forbidden)
     assert "formulas" not in _names(lagrange)
     assert "lagrange" not in _names(formulas)
+
+
+def test_runtime_imports_only_the_standard_library():
+    # the package has no runtime dependencies: every import in src/kirkman is
+    # relative or names a standard-library module
+    package = Path(formulas.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                assert module.partition(".")[0] in sys.stdlib_module_names, (path.name, module)

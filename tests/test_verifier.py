@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 import kirkman.verifier as verifier_module
-from kirkman.formulas import KirkmanIndex, closed_form_coeff, power_series
+from kirkman.formulas import closed_form_coeff, power_series
 from kirkman.lagrange import lagrange_table
 from kirkman.series import BiSeries, Rect
 from kirkman.verifier import (
@@ -107,8 +107,9 @@ def test_cross_check_single_cell():
     reports = cross_check_methods(1, 0, 0)
     assert len(reports) == 1
     report = reports[0]
-    assert report.value_closed == report.value_series == report.value_lagrange == 1
-    assert report.value_radical == 1
+    values = report.values
+    assert values["closed"] == values["series"] == values["lagrange"] == 1
+    assert values["radical"] == 1
     assert report.agree
 
 
@@ -116,17 +117,17 @@ def test_cross_check_square_window():
     reports = cross_check_methods(2, 5, 5)
     assert len(reports) == 36
     assert all(r.agree for r in reports)
-    assert all(r.value_radical is None for r in reports)
+    assert all(r.values["radical"] is None for r in reports)
 
 
 def test_cross_check_catalan_row():
     reports = cross_check_methods(1, 4, 0)
-    values = [r.value_closed for r in reports]
+    values = [r.values["closed"] for r in reports]
     assert values == [catalan(m + 1) for m in range(5)]
     for r in reports:
-        assert r.value_series == r.value_closed
-        assert r.value_lagrange == r.value_closed
-        assert r.value_radical == r.value_closed
+        assert r.values["series"] == r.values["closed"]
+        assert r.values["lagrange"] == r.values["closed"]
+        assert r.values["radical"] == r.values["closed"]
 
 
 def _corrupted_closed_form(bad_index):
@@ -159,14 +160,14 @@ def test_cross_check_detects_route_disagreement(monkeypatch):
     )
     reports = cross_check_methods(1, 1, 1)
     assert all(not r.agree for r in reports)
-    assert reports[0].value_closed == reports[0].value_series == 1
-    assert reports[0].value_lagrange == 8
+    assert reports[0].values["closed"] == reports[0].values["series"] == 1
+    assert reports[0].values["lagrange"] == 8
 
 
 def test_coeff_report_agree_includes_radical():
-    healthy = CoeffReport(KirkmanIndex(1, 1, 1), 5, 5, 5, 5)
+    healthy = CoeffReport(1, 1, dict(closed=5, series=5, lagrange=5, radical=5))
     assert healthy.agree
-    broken_radical = CoeffReport(KirkmanIndex(1, 1, 1), 5, 5, 5, 6)
+    broken_radical = CoeffReport(1, 1, dict(closed=5, series=5, lagrange=5, radical=6))
     assert not broken_radical.agree
-    without_radical = CoeffReport(KirkmanIndex(2, 1, 1), 14, 14, 14)
+    without_radical = CoeffReport(1, 1, dict(closed=14, series=14, lagrange=14, radical=None))
     assert without_radical.agree
