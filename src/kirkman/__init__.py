@@ -15,13 +15,7 @@ from .formulas import (
     power_series,
     radical_series,
 )
-from .lagrange import (
-    build_phi,
-    fixed_point_residual,
-    lagrange_coeff,
-    lagrange_table,
-    solve_y_fixpoint,
-)
+from .lagrange import build_phi, lagrange_coeff, lagrange_table
 from .series import BiSeries, Rect, poly
 from .verifier import (
     CoeffReport,
@@ -50,14 +44,12 @@ __all__ = [
     "closed_table",
     "convolution_lhs",
     "cross_check_methods",
-    "fixed_point_residual",
     "fixpoint_series",
     "lagrange_coeff",
     "lagrange_table",
     "poly",
     "power_series",
     "radical_series",
-    "solve_y_fixpoint",
     "sweep_cells",
     "verify_cayley",
     "verify_generalized",

@@ -58,45 +58,3 @@ def lagrange_table(p: int, window: Rect) -> BiSeries:
 def lagrange_coeff(p: int, m: int, n: int) -> int:
     """[z^m w^n] f^p, the corner cell of the Lagrange table on (m, n)."""
     return lagrange_table(p, Rect(m, n))[m, n]
-
-
-def solve_y_fixpoint(window: Rect) -> BiSeries:
-    """Solve y = z * phi(y) on ``window`` (variables read as (z, w)).
-
-    y has no constant term in z (y = z * f), so substituting the current
-    approximation into phi and multiplying by z fixes one more z-degree per
-    pass: max_a passes are exact on the window.
-    """
-    phi = build_phi(Rect(window.max_a, window.max_b))
-    z = poly(window, {(1, 0): 1})
-    y = BiSeries.zero(window)
-    for _ in range(window.max_a):
-        y = z * substitute(phi, y, window)
-    return y
-
-
-def fixed_point_residual(y: BiSeries) -> BiSeries:
-    """y - z * phi(y) on y's own window; the zero series iff y solves it."""
-    window = y.rect
-    phi = build_phi(Rect(window.max_a, window.max_b))
-    z = poly(window, {(1, 0): 1})
-    return y - z * substitute(phi, y, window)
-
-
-def substitute(phi: BiSeries, y: BiSeries, window: Rect) -> BiSeries:
-    """Evaluate phi, a polynomial in its first variable, at the series y.
-
-    Horner scheme over the y-rows of phi; every intermediate lives on the
-    shared (z, w) ``window``.  Only rows up to window.max_a can contribute
-    because y has z-valuation 1.
-    """
-    rows = min(phi.rect.max_a, window.max_a)
-    result = _row_as_series(phi, rows, window)
-    for k in range(rows - 1, -1, -1):
-        result = result * y + _row_as_series(phi, k, window)
-    return result
-
-
-def _row_as_series(phi: BiSeries, k: int, window: Rect) -> BiSeries:
-    # row a=k of phi, reinterpreted as a z-constant series on the (z, w) window
-    return poly(window, {(0, b): phi[k, b] for b in range(phi.rect.max_b + 1)})

@@ -15,6 +15,22 @@ no normalising: integer cells give integer cells, and mixed int/Fraction
 arithmetic stays exact.  A table built from integers therefore holds only
 ints unless some division in it leaves a remainder.
 
+``reciprocal`` and ``sqrt`` are the powers x^-1 and x^(1/2), and one kernel,
+``_power``, fills both by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2,
+section 4.7).  For s = x^alpha the Euler operator E = z d/dz + w d/dw gives
+E(s) x = alpha s E(x), and for every cell (a, b) != (0, 0) that reads
+
+    (a+b) x[0,0] s[a,b] = (alpha+1) (E x * s)[a,b] - (a+b) (x * s)[a,b].
+
+Cells are filled in row-major order and both product cells are summed while
+s[a,b] still holds 0.  That removes from x * s exactly the pairing of x[0,0]
+with s[a,b], the term moved to the left side; E x has no constant term, so
+it has no such pairing.  Every other cell read lies componentwise below
+(a, b) and is already filled.  For alpha = -1 the E x term vanishes and its
+product is skipped.  Both products read only the operand's rows up to its
+last nonzero one, so the cost scales with the operand's nonzero rows, not
+with the window: the radicand of the radical route has two.
+
 Values are immutable after construction and every operation is a pure
 function, so instances may be shared freely between threads.
 """
@@ -63,8 +79,43 @@ def _product_cell(
     x: Sequence[Sequence[Scalar]], y: Sequence[Sequence[Scalar]], a: int, b: int
 ) -> Scalar:
     # cell (a, b) of the truncated product of two coefficient tables: the sum
-    # of x[i][j] * y[a-i][b-j]; it reads only cells componentwise <= (a, b)
-    return sum(sum(map(mul, x[i][: b + 1], y[a - i][b::-1])) for i in range(a + 1))
+    # of x[i][j] * y[a-i][b-j]; it reads only cells componentwise <= (a, b).
+    # x may have fewer rows than the window: its missing rows count as zero.
+    return sum(
+        sum(map(mul, x[i][: b + 1], y[a - i][b::-1])) for i in range(min(a + 1, len(x)))
+    )
+
+
+def _nonzero_rows(x: Sequence[Sequence[Scalar]]) -> Sequence[Sequence[Scalar]]:
+    # x without its trailing all-zero rows, as a left factor of _product_cell
+    end = len(x)
+    while end and not any(x[end - 1]):
+        end -= 1
+    return x[:end]
+
+
+def _power(x: BiSeries, num: int, den: int, seed: Scalar) -> BiSeries:
+    # x^(num/den) with constant term ``seed``, by the recurrence of the module
+    # docstring multiplied through by den
+    x00 = x.coeff[0][0]
+    rows = _nonzero_rows(x.coeff)
+    euler: Sequence[Sequence[Scalar]] = ()
+    if num + den:
+        euler = _nonzero_rows(
+            [[(num + den) * (i + j) * v for j, v in enumerate(r)] for i, r in enumerate(rows)]
+        )
+    inv = _exact(Fraction(1, x00))
+    out: list[list[Scalar]] = [[0] * len(row) for row in x.coeff]
+    out[0][0] = seed
+    for a, b in x.rect.cells():
+        if a or b:
+            value = _product_cell(rows, out, a, b)
+            if euler:
+                k = den * (a + b)
+                out[a][b] = _exact(Fraction(_product_cell(euler, out, a, b) - k * value, k * x00))
+            else:
+                out[a][b] = _exact(-inv * value)
+    return BiSeries(x.rect, tuple(tuple(row) for row in out))
 
 
 @dataclass(frozen=True, repr=False)
@@ -166,9 +217,13 @@ class BiSeries:
         return BiSeries(self.rect, tuple(tuple(_exact(f * v) for v in row) for row in self.coeff))
 
     def __mul__(self, other: BiSeries) -> BiSeries:
-        """Truncated product: cell (a, b) is sum of x[i,j] * y[a-i,b-j]."""
+        """Truncated product: cell (a, b) is sum of x[i,j] * y[a-i,b-j].
+
+        Only x's rows up to its last nonzero one are read, so a left factor
+        sparse in the first variable, such as 1 or z + w, is cheap.
+        """
         self._require_same_rect(other)
-        x, y = self.coeff, other.coeff
+        x, y = _nonzero_rows(self.coeff), other.coeff
         return BiSeries(
             self.rect,
             tuple(
@@ -197,43 +252,28 @@ class BiSeries:
     def reciprocal(self) -> BiSeries:
         """Multiplicative inverse on the rectangle.
 
-        Coefficients are filled in row-major order by the recurrence
-        r[a,b] = -(sum of x[i,j] r[a-i,b-j] over (i,j) != (0,0)) / x[0,0].
-        Every cell it reads lies componentwise below (a, b), so it is
-        already filled; the excluded term x[0,0] r[a,b] drops out of the
-        full product cell because r[a,b] still holds 0 while it is summed.
+        The power x^-1 of the module docstring's recurrence, in which the
+        E x term vanishes: r[a,b] = -(x * r)[a,b] / x[0,0], summed while
+        r[a,b] still holds 0.  Each cell reads only x's nonzero rows.
         """
         x = self.coeff
         if x[0][0] == 0:
             raise ValueError("not invertible: zero constant term")
-        inv = _exact(Fraction(1, x[0][0]))
-        out: list[list[Scalar]] = [[0] * len(row) for row in x]
-        out[0][0] = inv
-        for a, b in self.rect.cells():
-            if a or b:
-                out[a][b] = _exact(-inv * _product_cell(x, out, a, b))
-        return BiSeries(self.rect, tuple(tuple(row) for row in out))
+        return _power(self, -1, 1, _exact(Fraction(1, x[0][0])))
 
     def sqrt(self) -> BiSeries:
         """Square root with constant term +1.
 
         Only radicands with constant term exactly 1 are supported; the sign
-        choice is fixed to +1.  Coefficients are filled in row-major order by
-        s[a,b] = (x[a,b] - interior) / 2, where the interior is the product
-        cell (a, b) of s with itself less the two pairings of s[0,0] with
-        s[a,b].  Every cell it reads lies componentwise below (a, b), and
-        those two pairings drop out because s[a,b] still holds 0 while the
-        cell is summed.
+        choice is fixed to +1.  The power x^(1/2) of the module docstring's
+        recurrence: 2(a+b) s[a,b] = 3 (E x * s)[a,b] - 2(a+b) (x * s)[a,b],
+        summed while s[a,b] still holds 0.  Each cell reads only x's nonzero
+        rows, so a radicand of degree 1 in the first variable costs two rows
+        per cell.
         """
-        x = self.coeff
-        if x[0][0] != 1:
+        if self.coeff[0][0] != 1:
             raise ValueError("unsupported radicand: constant term must be 1")
-        out: list[list[Scalar]] = [[0] * len(row) for row in x]
-        out[0][0] = 1
-        for a, b in self.rect.cells():
-            if a or b:
-                out[a][b] = _exact(Fraction(x[a][b] - _product_cell(out, out, a, b), 2))
-        return BiSeries(self.rect, tuple(tuple(row) for row in out))
+        return _power(self, 1, 2, 1)
 
     # ---- exact divisions ----
 

@@ -20,6 +20,7 @@ from kirkman.formulas import (
     radical_series,
 )
 from kirkman.series import BiSeries, Rect
+from kirkman.verifier import closed_table
 
 from oracles import catalan, naive_mul, quadratic_residual, quadratic_table
 
@@ -128,6 +129,11 @@ def test_radical_w_row_is_geometric():
 def test_radical_equals_on_wide_window():
     window = Rect(8, 8)
     assert fixpoint_series(window) == radical_series(window)
+
+
+def test_radical_equals_closed_table_on_40x40():
+    window = Rect(40, 40)
+    assert radical_series(window) == closed_table(1, window)
 
 
 def test_radical_quadratic_residual_vanishes():

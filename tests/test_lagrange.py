@@ -5,17 +5,57 @@ from __future__ import annotations
 import pytest
 
 from kirkman.formulas import binomial, closed_form_coeff, fixpoint_series
-from kirkman.lagrange import (
-    build_phi,
-    fixed_point_residual,
-    lagrange_coeff,
-    lagrange_table,
-    solve_y_fixpoint,
-)
+from kirkman.lagrange import build_phi, lagrange_coeff, lagrange_table
 from kirkman.series import BiSeries, Rect, poly
 from kirkman.verifier import closed_table
 
 from oracles import catalan
+
+
+# The fixed point y = z * phi(y) solved by substitution: a check on phi that
+# shares nothing with lagrange_table's powering.
+
+
+def solve_y_fixpoint(window: Rect) -> BiSeries:
+    """Solve y = z * phi(y) on ``window`` (variables read as (z, w)).
+
+    y has no constant term in z (y = z * f), so substituting the current
+    approximation into phi and multiplying by z fixes one more z-degree per
+    pass: max_a passes are exact on the window.
+    """
+    phi = build_phi(Rect(window.max_a, window.max_b))
+    z = poly(window, {(1, 0): 1})
+    y = BiSeries.zero(window)
+    for _ in range(window.max_a):
+        y = z * substitute(phi, y, window)
+    return y
+
+
+def fixed_point_residual(y: BiSeries) -> BiSeries:
+    """y - z * phi(y) on y's own window; the zero series iff y solves it."""
+    window = y.rect
+    phi = build_phi(Rect(window.max_a, window.max_b))
+    z = poly(window, {(1, 0): 1})
+    return y - z * substitute(phi, y, window)
+
+
+def substitute(phi: BiSeries, y: BiSeries, window: Rect) -> BiSeries:
+    """Evaluate phi, a polynomial in its first variable, at the series y.
+
+    Horner scheme over the y-rows of phi; every intermediate lives on the
+    shared (z, w) ``window``.  Only rows up to window.max_a can contribute
+    because y has z-valuation 1.
+    """
+    rows = min(phi.rect.max_a, window.max_a)
+    result = _row_as_series(phi, rows, window)
+    for k in range(rows - 1, -1, -1):
+        result = result * y + _row_as_series(phi, k, window)
+    return result
+
+
+def _row_as_series(phi: BiSeries, k: int, window: Rect) -> BiSeries:
+    # row a=k of phi, reinterpreted as a z-constant series on the (z, w) window
+    return poly(window, {(0, b): phi[k, b] for b in range(phi.rect.max_b + 1)})
 
 
 def test_build_phi_constant_term():

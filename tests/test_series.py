@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from kirkman import series as series_module
 from kirkman.formulas import fixpoint_series, power_series, radical_series
 from kirkman.series import BiSeries, Rect, poly
 
@@ -193,6 +194,57 @@ def test_sqrt_roundtrip_random():
         root = x.sqrt()
         assert root[0, 0] == 1
         assert root * root == x
+
+
+def _rows_0_and_2(rng, max_den):
+    # nonzero only in rows 0 and 2 of a 7-row window: an interior zero row
+    # (row 1) and four trailing zero rows; max_den = 1 gives int cells
+    entries = {
+        (a, b): Fraction(rng.randint(-9, 9), rng.randint(1, max_den))
+        for a in (0, 2)
+        for b in range(5)
+    }
+    entries[0, 0] = 1
+    return BiSeries.from_table(Rect(6, 4), entries)
+
+
+@pytest.mark.parametrize("max_den", [1, 9], ids=["int", "fraction"])
+def test_inverses_roundtrip_with_zero_rows(max_den):
+    rng = random.Random(31)
+    for _ in range(5):
+        x = _rows_0_and_2(rng, max_den)
+        assert x * x.reciprocal() == BiSeries.one(x.rect)
+        root = x.sqrt()
+        assert root[0, 0] == 1
+        assert root * root == x
+
+
+@pytest.mark.parametrize("max_den", [1, 9], ids=["int", "fraction"])
+def test_mul_left_factor_with_zero_tail_rows(max_den):
+    rng = random.Random(37)
+    x = _rows_0_and_2(rng, max_den)
+    y = random_series(rng, x.rect)
+    expected = {
+        (a, b): sum(x[i, j] * y[a - i, b - j] for i in range(a + 1) for j in range(b + 1))
+        for a, b in x.rect.cells()
+    }
+    assert x * y == BiSeries.from_table(x.rect, expected)
+    assert BiSeries.zero(x.rect) * y == BiSeries.zero(x.rect)
+
+
+def test_radical_sqrt_reads_two_operand_rows(monkeypatch):
+    # the radicand (1-w)^2 - 4z has degree 1 in z, so every product cell of
+    # its square root reads at most 2 rows of the left table
+    calls = []
+    kernel = series_module._product_cell
+
+    def recorder(x, y, a, b):
+        calls.append(len(x))
+        return kernel(x, y, a, b)
+
+    monkeypatch.setattr(series_module, "_product_cell", recorder)
+    radical_series(Rect(24, 24))
+    assert calls and max(calls) <= 2
 
 
 def test_div_z():
