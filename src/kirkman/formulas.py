@@ -23,25 +23,23 @@ another route's table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .series import BiSeries, Rect, _product_cell, poly
+from .series import BiSeries, Rect, _product_cell, _quotient, poly
 
 
-@dataclass(frozen=True)
-class KirkmanIndex:
+class KirkmanIndex(NamedTuple("KirkmanIndex", [("p", int), ("m", int), ("n", int)])):
     """Position (m, n) in the coefficient table of the p-th power."""
 
-    p: int
-    m: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.p < 1:
-            raise ValueError(f"power must be >= 1, got {self.p}")
-        if self.m < 0 or self.n < 0:
-            raise ValueError(f"exponents must be non-negative, got ({self.m}, {self.n})")
+    def __new__(cls, p: int, m: int, n: int) -> KirkmanIndex:
+        if p < 1:
+            raise ValueError(f"power must be >= 1, got {p}")
+        if m < 0 or n < 0:
+            raise ValueError(f"exponents must be non-negative, got ({m}, {n})")
+        return super().__new__(cls, p, m, n)
 
 
 def binomial(a: int, b: int) -> int:
@@ -56,19 +54,16 @@ def binomial(a: int, b: int) -> int:
 def closed_form_coeff(p: int, m: int, n: int) -> int:
     """[z^m w^n] f^p = (p/(m+p)) C(m+n+p-1, n) C(2m+n+2p, m+n+2p).
 
-    Evaluated exactly in rationals; the result is always an integer (the
-    prefactor p/(m+p) cancels against the binomials), and that integrality
-    is asserted rather than assumed.
+    Evaluated in integers: m+p always divides p times the binomials, and
+    that integrality is asserted from the remainder rather than assumed.
     """
     KirkmanIndex(p, m, n)
-    value = (
-        Fraction(p, m + p)
-        * binomial(m + n + p - 1, n)
-        * binomial(2 * m + n + 2 * p, m + n + 2 * p)
+    value = _quotient(
+        p * binomial(m + n + p - 1, n) * binomial(2 * m + n + 2 * p, m + n + 2 * p), m + p
     )
-    if value.denominator != 1:
+    if isinstance(value, Fraction):
         raise ArithmeticError(f"integrality violated at p={p} m={m} n={n}: {value}")
-    return int(value)
+    return value
 
 
 def fixpoint_series(window: Rect) -> BiSeries:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import BiSeries, Rect, poly
+from .series import BiSeries, Rect, _quotient, poly
 
 
 def build_phi(window: Rect) -> BiSeries:
@@ -47,10 +47,10 @@ def lagrange_table(p: int, window: Rect) -> BiSeries:
             power = power * phi
         row = []
         for n, cell in enumerate(power.coeff[m]):
-            value = Fraction(p, m + p) * cell
-            if value.denominator != 1:
+            value = _quotient(p * cell, m + p)
+            if isinstance(value, Fraction):
                 raise ArithmeticError(f"integrality violated at p={p} m={m} n={n}: {value}")
-            row.append(value.numerator)
+            row.append(value)
         rows.append(tuple(row))
     return BiSeries(window, tuple(rows))
 

@@ -8,12 +8,14 @@ is exact for the represented terms.  Variables are positional; the same type
 serves series in (z, w) and in (y, w).
 
 Cells are ``int`` or ``Fraction``.  Wherever a division can happen
-(construction, ``scale``, ``reciprocal``, ``sqrt``) one normaliser,
-``_exact``, stores the result as a plain ``int`` when it is an integer and as
-a ``Fraction`` only when it is not.  Addition, subtraction and products need
-no normalising: integer cells give integer cells, and mixed int/Fraction
-arithmetic stays exact.  A table built from integers therefore holds only
-ints unless some division in it leaves a remainder.
+(construction, ``scale``, ``reciprocal``, ``sqrt``) the result is stored as a
+plain ``int`` when it is an integer and as a ``Fraction`` only when it is
+not: ``_exact`` normalises a value, and ``_quotient`` divides by ``divmod``,
+so an integer quotient never passes through a ``Fraction``.  Addition,
+subtraction and products need no normalising: integer cells give integer
+cells, and mixed int/Fraction arithmetic stays exact.  A table built from
+integers therefore holds only ints unless some division in it leaves a
+remainder.
 
 ``reciprocal`` and ``sqrt`` are the powers x^-1 and x^(1/2), and one kernel,
 ``_power``, fills both by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2,
@@ -37,30 +39,39 @@ function, so instances may be shared freely between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
 
 def _exact(value: Scalar) -> Scalar:
-    # the only place a cell's type is chosen: int if integral, else Fraction
-    q = Fraction(value)
+    # int if integral, else Fraction; an int or a Fraction is not rebuilt
+    if type(value) is int:
+        return value
+    q = value if isinstance(value, Fraction) else Fraction(value)
     return q.numerator if q.denominator == 1 else q
 
 
-@dataclass(frozen=True)
-class Rect:
+def _quotient(num: Scalar, den: Scalar) -> Scalar:
+    # num / den as _exact stores it; dividing an int by an int builds a
+    # Fraction only when the division leaves a remainder
+    if type(num) is int and type(den) is int:
+        q, r = divmod(num, den)
+        return Fraction(num, den) if r else q
+    return _exact(num / den)
+
+
+class Rect(NamedTuple("Rect", [("max_a", int), ("max_b", int)])):
     """Truncation rectangle: inclusive degree caps for the two variables."""
 
-    max_a: int
-    max_b: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.max_a < 0 or self.max_b < 0:
-            raise ValueError(f"rectangle bounds must be non-negative, got {self}")
+    def __new__(cls, max_a: int, max_b: int) -> Rect:
+        if max_a < 0 or max_b < 0:
+            raise ValueError(f"rectangle bounds must be non-negative, got ({max_a}, {max_b})")
+        return super().__new__(cls, max_a, max_b)
 
     def contains(self, a: int, b: int) -> bool:
         return 0 <= a <= self.max_a and 0 <= b <= self.max_b
@@ -104,7 +115,6 @@ def _power(x: BiSeries, num: int, den: int, seed: Scalar) -> BiSeries:
         euler = _nonzero_rows(
             [[(num + den) * (i + j) * v for j, v in enumerate(r)] for i, r in enumerate(rows)]
         )
-    inv = _exact(Fraction(1, x00))
     out: list[list[Scalar]] = [[0] * len(row) for row in x.coeff]
     out[0][0] = seed
     for a, b in x.rect.cells():
@@ -112,13 +122,12 @@ def _power(x: BiSeries, num: int, den: int, seed: Scalar) -> BiSeries:
             value = _product_cell(rows, out, a, b)
             if euler:
                 k = den * (a + b)
-                out[a][b] = _exact(Fraction(_product_cell(euler, out, a, b) - k * value, k * x00))
+                out[a][b] = _quotient(_product_cell(euler, out, a, b) - k * value, k * x00)
             else:
-                out[a][b] = _exact(-inv * value)
+                out[a][b] = _quotient(-value, x00)
     return BiSeries(x.rect, tuple(tuple(row) for row in out))
 
 
-@dataclass(frozen=True, repr=False)
 class BiSeries:
     """A bivariate series truncated to ``rect``, with exact rational cells.
 
@@ -126,17 +135,37 @@ class BiSeries:
 
     ``coeff[a][b]`` is the coefficient of (first variable)^a (second
     variable)^b.  Every cell inside the rectangle is materialised; absent
-    terms are explicit zeros.
+    terms are explicit zeros.  Both fields are read-only, and equal fields
+    make equal, equally hashed series.
     """
 
+    __slots__ = ("rect", "coeff")
     rect: Rect
     coeff: tuple[tuple[Scalar, ...], ...]
 
-    def __post_init__(self) -> None:
-        if len(self.coeff) != self.rect.max_a + 1 or any(
-            len(row) != self.rect.max_b + 1 for row in self.coeff
-        ):
+    def __init__(self, rect: Rect, coeff: tuple[tuple[Scalar, ...], ...]) -> None:
+        if len(coeff) != rect.max_a + 1 or any(len(row) != rect.max_b + 1 for row in coeff):
             raise ValueError("coefficient table does not match rectangle")
+        object.__setattr__(self, "rect", rect)
+        object.__setattr__(self, "coeff", coeff)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rect == other.rect and self.coeff == other.coeff
+
+    def __hash__(self) -> int:
+        return hash((self.rect, self.coeff))
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild through __init__, since __setattr__ refuses
+        return BiSeries, (self.rect, self.coeff)
 
     # ---- construction ----
 
@@ -259,7 +288,7 @@ class BiSeries:
         x = self.coeff
         if x[0][0] == 0:
             raise ValueError("not invertible: zero constant term")
-        return _power(self, -1, 1, _exact(Fraction(1, x[0][0])))
+        return _power(self, -1, 1, _quotient(1, x[0][0]))
 
     def sqrt(self) -> BiSeries:
         """Square root with constant term +1.

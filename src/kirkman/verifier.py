@@ -15,16 +15,14 @@ f^r f^s = f^(r+s) is tested separately as an invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .formulas import closed_form_coeff, power_series, radical_series
 from .lagrange import lagrange_table
 from .series import BiSeries, Rect, Scalar, _product_cell
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     r: int
     s: int
     M: int
@@ -33,26 +31,30 @@ class Counterexample:
     rhs: int
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    """Outcome of an identity sweep."""
-
+class _VerifyFields(NamedTuple):
     params_range: str
     checked_count: int
     status: str  # "pass" | "fail"
     first_counterexample: Optional[Counterexample] = None
 
-    def __post_init__(self) -> None:
-        if (self.status == "fail") != (self.first_counterexample is not None):
+
+class VerifyReport(_VerifyFields):
+    """Outcome of an identity sweep."""
+
+    __slots__ = ()
+
+    def __new__(cls, *fields: object, **named: object) -> VerifyReport:
+        report = super().__new__(cls, *fields, **named)
+        if (report.status == "fail") != (report.first_counterexample is not None):
             raise ValueError("status and counterexample are inconsistent")
+        return report
 
     @property
     def passed(self) -> bool:
         return self.status == "pass"
 
 
-@dataclass(frozen=True)
-class CoeffReport:
+class CoeffReport(NamedTuple):
     """One cell's value on every route, keyed as ROUTES (None where a route does not apply)."""
 
     m: int
@@ -67,9 +69,8 @@ class CoeffReport:
 
 def closed_table(p: int, window: Rect) -> BiSeries:
     """The closed form c_p(m, n) at every cell of ``window``."""
-    return BiSeries.from_table(
-        window, {(m, n): closed_form_coeff(p, m, n) for m, n in window.cells()}
-    )
+    rows, columns = range(window.max_a + 1), range(window.max_b + 1)
+    return BiSeries(window, tuple(tuple(closed_form_coeff(p, m, n) for n in columns) for m in rows))
 
 
 def convolution_lhs(x: BiSeries, y: BiSeries, M: int, N: int) -> int:

@@ -80,6 +80,13 @@ def test_closed_form_returns_python_int():
     assert isinstance(value, int) and not isinstance(value, bool)
 
 
+def test_closed_form_asserts_integrality(monkeypatch):
+    # with every binomial 1, p C C = 1 is not divisible by m + p = 2
+    monkeypatch.setattr(formulas, "binomial", lambda a, b: 1)
+    with pytest.raises(ArithmeticError, match="integrality violated at p=1 m=1 n=0: 1/2$"):
+        closed_form_coeff(1, 1, 0)
+
+
 def test_fixpoint_trivial_window():
     assert fixpoint_series(Rect(0, 0)) == BiSeries.one(Rect(0, 0))
 

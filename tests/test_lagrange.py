@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
+from kirkman import lagrange as lagrange_module
 from kirkman.formulas import binomial, closed_form_coeff, fixpoint_series
 from kirkman.lagrange import build_phi, lagrange_coeff, lagrange_table
 from kirkman.series import BiSeries, Rect, poly
@@ -89,6 +92,16 @@ def test_lagrange_coeff_rejects_bad_arguments():
         lagrange_coeff(0, 1, 1)
     with pytest.raises(ValueError, match="non-negative"):
         lagrange_coeff(1, -1, 0)
+
+
+def test_lagrange_table_asserts_integrality(monkeypatch):
+    # phi = 1 + y/2 gives [y^1] phi^2 = 1, not divisible by m + p = 2
+    def half_y_phi(window):
+        return poly(window, {(0, 0): 1, (1, 0): Fraction(1, 2)})
+
+    monkeypatch.setattr(lagrange_module, "build_phi", half_y_phi)
+    with pytest.raises(ArithmeticError, match="integrality violated at p=1 m=1 n=0: 1/2$"):
+        lagrange_table(1, Rect(1, 0))
 
 
 def test_lagrange_agrees_with_closed_form():

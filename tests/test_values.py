@@ -1,0 +1,65 @@
+"""The contract of the library's value types, and what importing the CLI loads."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import kirkman
+from kirkman.formulas import KirkmanIndex
+from kirkman.series import BiSeries, Rect
+from kirkman.verifier import CoeffReport, Counterexample, VerifyReport
+
+# each type's constructor from fixed fields, and one field to assign to
+VALUES = {
+    "Rect": (lambda: Rect(1, 2), "max_a"),
+    "BiSeries": (lambda: BiSeries.from_table(Rect(1, 2), {(0, 0): 1, (1, 2): 3}), "coeff"),
+    "KirkmanIndex": (lambda: KirkmanIndex(2, 1, 0), "m"),
+    "Counterexample": (lambda: Counterexample(1, 2, 3, 4, 5, 6), "lhs"),
+    "VerifyReport": (lambda: VerifyReport("r=1 s=1", 3, "pass"), "status"),
+    "CoeffReport": (lambda: CoeffReport(1, 1, {"closed": 5, "series": 5}), "values"),
+}
+HASHABLE = (Rect, BiSeries, KirkmanIndex, Counterexample)
+
+
+@pytest.mark.parametrize("make, field", VALUES.values(), ids=VALUES)
+def test_value_type_contract(make, field):
+    value, same = make(), make()
+    assert value is not same and value == same
+    if isinstance(value, HASHABLE):
+        assert hash(value) == hash(same)
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(same, field))
+    assert value == same
+
+
+def test_unequal_fields_give_unequal_values():
+    assert Rect(1, 2) != Rect(2, 1)
+    assert BiSeries.zero(Rect(1, 2)) != BiSeries.one(Rect(1, 2))
+    assert BiSeries.zero(Rect(1, 2)) != BiSeries.zero(Rect(2, 1))
+    assert KirkmanIndex(2, 1, 0) != KirkmanIndex(2, 0, 1)
+
+
+def test_series_repr_and_no_scalar_arithmetic():
+    x = BiSeries.zero(Rect(1, 2))
+    assert repr(x) == "<BiSeries on (1, 2)>"
+    with pytest.raises(TypeError):
+        2 * x
+
+
+def test_cli_import_loads_no_introspection_modules():
+    # the set difference ignores whatever the interpreter's site hooks preload
+    code = (
+        "import sys; before = set(sys.modules); import kirkman.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(kirkman.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "kirkman.cli" in out
+    assert not {"dataclasses", "inspect"} & set(out)
