@@ -13,11 +13,11 @@ and the geometric row ([z^0 w^n] f = 1).  This module provides:
                              recurrence,
   * ``radical_series``    -- f from its radical expression, as an
                              independent witness,
-  * ``power_series``      -- f^p by truncated powering.
+  * ``power_series``      -- f^p by the row recurrence of ``series._power``.
 
 All routes agree cellwise; the verifier module sweeps that agreement.  The
-series routes share only the product-cell kernel of ``series``; none reads
-another route's table.
+series routes share only the kernels of ``series``; none reads another
+route's table.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .series import BiSeries, Rect, _product_cell, _quotient, poly
+from .series import BiSeries, Rect, _power, _product_cell, _quotient, poly
 
 
 class KirkmanIndex(NamedTuple("KirkmanIndex", [("p", int), ("m", int), ("n", int)])):
@@ -123,4 +123,4 @@ def power_series(p: int, window: Rect) -> BiSeries:
     """f^p on ``window``; cell (m, n) equals closed_form_coeff(p, m, n)."""
     if p < 1:
         raise ValueError(f"power must be >= 1, got {p}")
-    return fixpoint_series(window) ** p
+    return _power(fixpoint_series(window), p, 1, 1)

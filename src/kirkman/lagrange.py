@@ -10,18 +10,18 @@ inversion then gives
 
     [z^m w^n] f^p = (p/(m+p)) [y^m w^n] phi(y)^(m+p).
 
-``lagrange_table`` builds phi once on the requested window and powers it
-directly: phi^p once, then one more product by phi per row, so row m is
-read from the running power phi^(m+p).  The route never reads a binomial,
-which keeps it independent of the closed form, and the integrality of
-every cell is asserted.
+``lagrange_table`` builds phi once on the requested window and reads row m
+of phi^(m+p) from Miller's power recurrence in y (``series._power``) on
+phi's rows up to m, with no product of series.  The route never reads a
+binomial, not even for row 0, (1-w)^-(m+p), which keeps it independent of
+the closed form, and the integrality of every cell is asserted.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import BiSeries, Rect, _quotient, poly
+from .series import BiSeries, Rect, _power, _quotient, poly
 
 
 def build_phi(window: Rect) -> BiSeries:
@@ -34,17 +34,15 @@ def build_phi(window: Rect) -> BiSeries:
 def lagrange_table(p: int, window: Rect) -> BiSeries:
     """[z^m w^n] f^p at every cell of ``window``, by Lagrange inversion.
 
-    phi is built on ``window`` read as (y, w): higher y-terms cannot reach
-    [y^m] of a power for m <= max_a, and [w^n] never reads beyond w^n.
+    phi is built on ``window`` read as (y, w): row m of a power reads phi's
+    rows up to m only, and [w^n] never reads beyond w^n.
     """
     if p < 1:
         raise ValueError(f"power must be >= 1, got {p}")
     phi = build_phi(window)
-    power = phi ** p
     rows = []
     for m in range(window.max_a + 1):
-        if m:
-            power = power * phi
+        power = _power(phi.restrict(Rect(m, window.max_b)), m + p, 1, phi[0, 0] ** (m + p))
         row = []
         for n, cell in enumerate(power.coeff[m]):
             value = _quotient(p * cell, m + p)

@@ -17,21 +17,23 @@ cells, and mixed int/Fraction arithmetic stays exact.  A table built from
 integers therefore holds only ints unless some division in it leaves a
 remainder.
 
-``reciprocal`` and ``sqrt`` are the powers x^-1 and x^(1/2), and one kernel,
-``_power``, fills both by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2,
-section 4.7).  For s = x^alpha the Euler operator E = z d/dz + w d/dw gives
-E(s) x = alpha s E(x), and for every cell (a, b) != (0, 0) that reads
+One kernel, ``_power``, fills every power s = x^(num/den) of an x with
+x[0,0] != 0 (``reciprocal``, ``sqrt`` and the integer powers of the series
+and Lagrange routes) by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2,
+section 4.7) in the first variable, whose coefficients are series in the
+second: from x s' = (num/den) s x', for every row a >= 1,
 
-    (a+b) x[0,0] s[a,b] = (alpha+1) (E x * s)[a,b] - (a+b) (x * s)[a,b].
+    den a x[0,0] s[a,b] = sum over i, j of ((num+den) i - den a) x[i,j] s[a-i,b-j],
 
-Cells are filled in row-major order and both product cells are summed while
-s[a,b] still holds 0.  That removes from x * s exactly the pairing of x[0,0]
-with s[a,b], the term moved to the left side; E x has no constant term, so
-it has no such pairing.  Every other cell read lies componentwise below
-(a, b) and is already filled.  For alpha = -1 the E x term vanishes and its
-product is skipped.  Both products read only the operand's rows up to its
-last nonzero one, so the cost scales with the operand's nonzero rows, not
-with the window: the radicand of the radical route has two.
+summed while s[a,b] still holds 0, which drops exactly the pairing of x[0,0]
+with s[a,b] moved to the left side.  The weight depends only on the rows i
+and a, so each target row weights x's rows once and each cell is one product
+cell.  Row 0, x[0]^(num/den), comes from the same recurrence in the second
+variable (i, a -> j, b), with no binomial.  For num/den = -1 the weight is
+-den a throughout and cancels, so the reciprocal sums the plain product.
+Cells are filled in row-major order, so every other cell read is already
+filled, and only the operand's rows up to its last nonzero one are read:
+the radicand of the radical route has two.
 
 Values are immutable after construction and every operation is a pure
 function, so instances may be shared freely between threads.
@@ -106,25 +108,26 @@ def _nonzero_rows(x: Sequence[Sequence[Scalar]]) -> Sequence[Sequence[Scalar]]:
 
 
 def _power(x: BiSeries, num: int, den: int, seed: Scalar) -> BiSeries:
-    # x^(num/den) with constant term ``seed``, by the recurrence of the module
-    # docstring multiplied through by den
-    x00 = x.coeff[0][0]
+    # x^(num/den) with constant term ``seed``, by the recurrences of the
+    # module docstring multiplied through by den
+    x00, first = x.coeff[0][0], x.coeff[0]
     rows = _nonzero_rows(x.coeff)
-    euler: Sequence[Sequence[Scalar]] = ()
-    if num + den:
-        euler = _nonzero_rows(
-            [[(num + den) * (i + j) * v for j, v in enumerate(r)] for i, r in enumerate(rows)]
-        )
+    k = num + den
     out: list[list[Scalar]] = [[0] * len(row) for row in x.coeff]
-    out[0][0] = seed
-    for a, b in x.rect.cells():
-        if a or b:
-            value = _product_cell(rows, out, a, b)
-            if euler:
-                k = den * (a + b)
-                out[a][b] = _quotient(_product_cell(euler, out, a, b) - k * value, k * x00)
-            else:
-                out[a][b] = _quotient(-value, x00)
+    top = out[0]
+    top[0] = seed
+    if not k:
+        for a, b in x.rect.cells():
+            if a or b:
+                out[a][b] = _quotient(-_product_cell(rows, out, a, b), x00)
+    else:
+        for b in range(1, len(top)):
+            value = sum((k * j - den * b) * first[j] * top[b - j] for j in range(1, b + 1))
+            top[b] = _quotient(value, den * b * x00)
+        for a in range(1, len(out)):
+            weighted = [[(k * i - den * a) * v for v in r] for i, r in enumerate(rows[: a + 1])]
+            for b in range(len(top)):
+                out[a][b] = _quotient(_product_cell(weighted, out, a, b), den * a * x00)
     return BiSeries(x.rect, tuple(tuple(row) for row in out))
 
 
@@ -242,8 +245,9 @@ class BiSeries:
         )
 
     def scale(self, factor: Scalar) -> BiSeries:
-        f = _exact(factor)
-        return BiSeries(self.rect, tuple(tuple(_exact(f * v) for v in row) for row in self.coeff))
+        num, den = Fraction(factor).as_integer_ratio()
+        rows = (tuple(_quotient(num * v, den) for v in r) for r in self.coeff)
+        return BiSeries(self.rect, tuple(rows))
 
     def __mul__(self, other: BiSeries) -> BiSeries:
         """Truncated product: cell (a, b) is sum of x[i,j] * y[a-i,b-j].
@@ -281,8 +285,8 @@ class BiSeries:
     def reciprocal(self) -> BiSeries:
         """Multiplicative inverse on the rectangle.
 
-        The power x^-1 of the module docstring's recurrence, in which the
-        E x term vanishes: r[a,b] = -(x * r)[a,b] / x[0,0], summed while
+        The power x^-1 of the module docstring's recurrence, in which every
+        weight cancels: r[a,b] = -(x * r)[a,b] / x[0,0], summed while
         r[a,b] still holds 0.  Each cell reads only x's nonzero rows.
         """
         x = self.coeff
@@ -295,10 +299,9 @@ class BiSeries:
 
         Only radicands with constant term exactly 1 are supported; the sign
         choice is fixed to +1.  The power x^(1/2) of the module docstring's
-        recurrence: 2(a+b) s[a,b] = 3 (E x * s)[a,b] - 2(a+b) (x * s)[a,b],
-        summed while s[a,b] still holds 0.  Each cell reads only x's nonzero
-        rows, so a radicand of degree 1 in the first variable costs two rows
-        per cell.
+        recurrence: 2a s[a,b] = sum of (3i - 2a) x[i,j] s[a-i,b-j], summed
+        while s[a,b] still holds 0.  Each cell is one product cell over x's
+        nonzero rows, so a radicand of degree 1 in z costs two rows per cell.
         """
         if self.coeff[0][0] != 1:
             raise ValueError("unsupported radicand: constant term must be 1")

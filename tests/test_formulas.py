@@ -236,6 +236,40 @@ def test_series_routes_never_reach_the_closed_form():
     assert "lagrange" not in _names(formulas)
 
 
+def _count_calls(monkeypatch, *names):
+    # calls of BiSeries methods, the ones made inside another counted too
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+
+        def counted(self, other, _name=name, _method=getattr(BiSeries, name)):
+            counts[_name] += 1
+            return _method(self, other)
+
+        monkeypatch.setattr(BiSeries, name, counted)
+    return counts
+
+
+def test_lagrange_route_takes_no_series_power(monkeypatch):
+    # row m of phi^(m+p) comes from the row recurrence of series._power, so
+    # the only BiSeries product left is the one inside build_phi
+    counts = _count_calls(monkeypatch, "__mul__", "__pow__")
+    lagrange.lagrange_table(5, Rect(12, 12))
+    assert counts["__mul__"] <= 1 and counts["__pow__"] == 0, counts
+
+
+def test_series_route_takes_no_series_power(monkeypatch):
+    # f^p comes from the row recurrence of series._power
+    counts = _count_calls(monkeypatch, "__mul__", "__pow__")
+    power_series(5, Rect(12, 12))
+    assert counts["__pow__"] == 0, counts
+
+
+@pytest.mark.parametrize("p", [1, 6])
+def test_power_routes_agree_on_asymmetric_window(p):
+    window = Rect(24, 16)
+    assert lagrange.lagrange_table(p, window) == power_series(p, window) == closed_table(p, window)
+
+
 def test_runtime_imports_only_the_standard_library():
     # the package has no runtime dependencies: every import in src/kirkman is
     # relative or names a standard-library module

@@ -9,7 +9,7 @@ import pytest
 
 from kirkman import series as series_module
 from kirkman.formulas import fixpoint_series, power_series, radical_series
-from kirkman.series import BiSeries, Rect, poly
+from kirkman.series import BiSeries, Rect, _power, poly
 
 from oracles import naive_mul, random_series
 
@@ -217,6 +217,39 @@ def test_inverses_roundtrip_with_zero_rows(max_den):
         root = x.sqrt()
         assert root[0, 0] == 1
         assert root * root == x
+
+
+def _power_operands(max_den, constant):
+    # dense tables and tables nonzero only in rows 0 and 2, all with constant
+    # term ``constant``; max_den = 1 gives int cells
+    rng = random.Random(41)
+    dense = []
+    for _ in range(8):
+        rect = Rect(rng.randint(0, 4), rng.randint(0, 4))
+        entries = {
+            (a, b): Fraction(rng.randint(-9, 9), rng.randint(1, max_den)) for a, b in rect.cells()
+        }
+        entries[0, 0] = constant
+        dense.append(BiSeries.from_table(rect, entries))
+    return dense + [_rows_0_and_2(rng, max_den).scale(constant) for _ in range(3)]
+
+
+@pytest.mark.parametrize("max_den", [1, 9], ids=["int", "fraction"])
+def test_power_kernel_positive_integer_exponent(max_den):
+    for x in _power_operands(max_den, constant=2):
+        assert _power(x, 5, 1, 32) == x ** 5
+
+
+@pytest.mark.parametrize("max_den", [1, 9], ids=["int", "fraction"])
+def test_power_kernel_negative_exponent(max_den):
+    for x in _power_operands(max_den, constant=-3):
+        assert _power(x, -2, 1, Fraction(1, 9)) * x * x == BiSeries.one(x.rect)
+
+
+@pytest.mark.parametrize("max_den", [1, 9], ids=["int", "fraction"])
+def test_power_kernel_cube_root(max_den):
+    for x in _power_operands(max_den, constant=1):
+        assert _power(x, 1, 3, 1) ** 3 == x
 
 
 @pytest.mark.parametrize("max_den", [1, 9], ids=["int", "fraction"])
