@@ -86,6 +86,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if hasattr(signal, "SIGPIPE"):
         # die quietly on a closed pipe, not in a traceback with exit 1 ("disagreement")
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    if hasattr(sys, "set_int_max_str_digits"):
+        # print every coefficient in full; the default 4,300-digit limit on
+        # int-to-str conversion would end a large one in a traceback with exit 1
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     return args.handler(args, parser)

@@ -6,10 +6,12 @@ The generalized identity states that for p = r + s,
 
 where c_p(m, n) is the closed-form coefficient of [z^m w^n] f^p.  The r = s
 = 1 case is Kirkman's hypothesis, and its N = 0 restriction is Cayley's
-case.  A sweep builds the closed-form tables of c_r, c_s and c_p once, sums
-each left side from the first two and reads the right side from the third.
-No series product enters, so a sweep is a genuine check of the identity
-rather than a tautology of series arithmetic; the series-level fact
+case.  A sweep builds the closed-form tables of c_r, c_s and c_p once, takes
+every left side at once as the exact truncated product of the first two
+(one decimal multiplication, ``series._kronecker_product``) and reads the
+right side from the third.  Both factors are closed-form tables and no
+series power enters, so a sweep is a genuine check of the identity rather
+than a tautology of series arithmetic; the series-level fact
 f^r f^s = f^(r+s) is tested separately as an invariant.
 """
 
@@ -19,7 +21,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 
 from .formulas import closed_form_coeff, power_series, radical_series
 from .lagrange import lagrange_table
-from .series import BiSeries, Rect, Scalar, _product_cell
+from .series import BiSeries, Rect, Scalar, _kronecker_product, _product_cell
 
 
 class Counterexample(NamedTuple):
@@ -74,7 +76,11 @@ def closed_table(p: int, window: Rect) -> BiSeries:
 
 
 def convolution_lhs(x: BiSeries, y: BiSeries, M: int, N: int) -> int:
-    """Cell (M, N) of the product of the tables x and y, summed exactly."""
+    """Cell (M, N) of the product of the tables x and y, summed exactly.
+
+    The one-cell reference for the sweep's left side, which takes every
+    cell at once from ``series._kronecker_product``.
+    """
     if not (x.rect.contains(M, N) and y.rect.contains(M, N)):
         raise IndexError(f"cell ({M}, {N}) outside {x.rect} or {y.rect}")
     return _product_cell(x.coeff, y.coeff, M, N)
@@ -95,9 +101,10 @@ def sweep_cells(
 ) -> Iterator[tuple[int, int, int, int]]:
     """Yield (M, N, lhs, rhs) over the sweep range in lexicographic order."""
     window = Rect(max_M, max_N)
-    x, y, rhs = closed_table(r, window), closed_table(s, window), closed_table(r + s, window)
+    lhs = _kronecker_product(closed_table(r, window), closed_table(s, window))
+    rhs = closed_table(r + s, window)
     for M, N in window.cells():
-        yield M, N, convolution_lhs(x, y, M, N), rhs[M, N]
+        yield M, N, lhs[M, N], rhs[M, N]
 
 
 def verify_generalized(r: int, s: int, max_M: int, max_N: int) -> VerifyReport:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -51,6 +53,24 @@ def test_coeff_json_lines(capsys):
     )
     assert code == 0
     assert json.loads(out) == {"m": 1, "n": 1, "coefficient": 27}
+
+
+def test_coeff_prints_past_the_int_str_limit():
+    # Catalan(8001) has 4,812 digits, past CPython's default limit of 4,300 on
+    # int-to-str conversion; a subprocess leaves this process's limit alone
+    expected = str(Decimal(math.comb(16002, 8001) // 8002))  # Decimal has no such limit
+    env = {**os.environ, "PYTHONPATH": str(Path(kirkman.__file__).parents[1])}
+    argv = ["coeff", "--p", "1", "--m", "8000", "--n", "0", "--format"]
+    for fmt in ("pretty", "json-lines"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "kirkman.cli", *argv, fmt],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = proc.stdout.rstrip("\n")
+        if fmt == "json-lines":
+            out = json.loads(out, parse_int=str)["coefficient"]
+        assert out == expected
 
 
 def test_coeff_rejects_zero_power(capsys):

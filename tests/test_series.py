@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from kirkman import series as series_module
 from kirkman.formulas import fixpoint_series, power_series, radical_series
-from kirkman.series import BiSeries, Rect, _power, poly
+from kirkman.series import BiSeries, Rect, _kronecker_product, _power, poly
+from kirkman.verifier import closed_table, convolution_lhs
 
 from oracles import naive_mul, random_series
 
@@ -441,3 +443,95 @@ INTEGER_CASES = {
 def test_integer_inputs_give_int_cells(build):
     series = build()
     assert all(type(value) is int for row in series.coeff for value in row)
+
+
+# ---- the packed product of the identity sweep ----
+
+
+def _assert_packed_product_is_cellwise(x, y):
+    product = _kronecker_product(x, y)
+    assert product.rect == x.rect
+    for a, b in x.rect.cells():
+        value = product[a, b]
+        assert type(value) is int and value == convolution_lhs(x, y, a, b), (a, b)
+
+
+def _random_int_table(rng, rect, bits):
+    return BiSeries.from_table(rect, {cell: rng.getrandbits(bits) for cell in rect.cells()})
+
+
+@pytest.mark.parametrize("rect", [Rect(0, 0), Rect(0, 7), Rect(7, 0), Rect(5, 9), Rect(12, 12)])
+def test_kronecker_product_matches_convolution_lhs(rect):
+    rng = random.Random(rect.max_a * 100 + rect.max_b)
+    for bits in (1, 8, 90):
+        _assert_packed_product_is_cellwise(
+            _random_int_table(rng, rect, bits), _random_int_table(rng, rect, bits)
+        )
+    zero = BiSeries.zero(rect)
+    _assert_packed_product_is_cellwise(zero, zero)
+    _assert_packed_product_is_cellwise(zero, _random_int_table(rng, rect, 40))
+    # every cell at the most its row's bit length allows, so slot sums come
+    # as close to the width bound as they can, and all-nines cells the same
+    # in decimal
+    ones = BiSeries.from_table(rect, {(a, b): 2 ** (17 * a + 5) - 1 for a, b in rect.cells()})
+    _assert_packed_product_is_cellwise(ones, ones)
+    nines = BiSeries.from_table(rect, dict.fromkeys(rect.cells(), 10**40 - 1))
+    _assert_packed_product_is_cellwise(nines, nines)
+    # one huge cell among small ones sets the width of every slot; the widest
+    # slot pairs the huge cells' rows, wherever they lie
+    def lopsided(a):
+        cells = {cell: rng.getrandbits(3) for cell in rect.cells()}
+        cells[a, rect.max_b // 2] = 3**700
+        return BiSeries.from_table(rect, cells)
+
+    _assert_packed_product_is_cellwise(lopsided(0), lopsided(rect.max_a))
+    _assert_packed_product_is_cellwise(lopsided(rect.max_a), lopsided(0))
+    _assert_packed_product_is_cellwise(lopsided(0), lopsided(rect.max_a // 2))
+
+
+@pytest.mark.parametrize(
+    "p, q, rect", [(2, 3, Rect(24, 24)), (3, 2, Rect(24, 24)), (1, 1, Rect(300, 0))]
+)
+def test_kronecker_product_of_closed_tables(p, q, rect):
+    _assert_packed_product_is_cellwise(closed_table(p, rect), closed_table(q, rect))
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit here"
+)
+def test_kronecker_product_slots_wider_than_the_int_str_limit():
+    # cells of 15,000 bits or more need slots of about 9,000 digits, past the
+    # default limit of 4,300 digits on int <-> str conversion
+    rng = random.Random(15000)
+    rect = Rect(2, 1)
+
+    def wide(bits):
+        return BiSeries.from_table(rect, {c: 1 << bits | rng.getrandbits(bits) for c in rect.cells()})
+
+    x, y = wide(15000), wide(16000)
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        _assert_packed_product_is_cellwise(x, y)
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def test_kronecker_product_longer_than_a_million_digits():
+    # 63 product slots of about 16,900 digits each, past the 999,999 digits
+    # that decimal's default context allows before it overflows
+    rng = random.Random(28000)
+    rect = Rect(0, 31)
+    x = BiSeries.from_table(rect, {c: 1 << 28000 | rng.getrandbits(28000) for c in rect.cells()})
+    _assert_packed_product_is_cellwise(x, x)
+
+
+@pytest.mark.parametrize("bad", [-1, Fraction(1, 2), Fraction(2, 1)])
+def test_kronecker_product_rejects_cells_that_are_not_non_negative_ints(bad):
+    rect = Rect(2, 2)
+    good = BiSeries.from_table(rect, dict.fromkeys(rect.cells(), 1))
+    bad_table = BiSeries(rect, ((1, 1, 1), (1, 1, bad), (1, 1, 1)))
+    with pytest.raises(ValueError, match="non-negative int"):
+        _kronecker_product(bad_table, good)
+    with pytest.raises(ValueError, match="non-negative int"):
+        _kronecker_product(good, bad_table)

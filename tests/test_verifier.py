@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 import kirkman.verifier as verifier_module
+from kirkman.cli import main
 from kirkman.formulas import closed_form_coeff, power_series
 from kirkman.lagrange import lagrange_table
 from kirkman.series import BiSeries, Rect
@@ -89,6 +90,24 @@ def test_verify_cayley_entry_point():
 
 def test_verify_cayley_matches_generalized():
     assert verify_cayley(30) == verify_generalized(1, 1, 30, 0)
+
+
+def test_sweep_takes_no_product_cell(monkeypatch, capsys):
+    # the left side is one packed product of the closed tables, not a
+    # convolution sum per cell
+    calls = []
+    kernel = verifier_module._product_cell
+
+    def recorder(x, y, a, b):
+        calls.append((a, b))
+        return kernel(x, y, a, b)
+
+    monkeypatch.setattr(verifier_module, "_product_cell", recorder)
+    assert verify_generalized(2, 3, 24, 24).passed
+    argv = ["verify", "--r", "2", "--s", "3", "--max-M", "24", "--max-N", "24", "--format", "csv"]
+    assert main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 25 * 25
+    assert calls == []
 
 
 def test_sweep_cells_order():
