@@ -86,13 +86,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if hasattr(signal, "SIGPIPE"):
         # die quietly on a closed pipe, not in a traceback with exit 1 ("disagreement")
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    if hasattr(sys, "set_int_max_str_digits"):
-        # print every coefficient in full; the default 4,300-digit limit on
-        # int-to-str conversion would end a large one in a traceback with exit 1
-        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args, parser)
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return args.handler(args, parser)
+    # print every coefficient in full; the default 4,300-digit limit on
+    # int-to-str conversion would end a large one in a traceback with exit 1.
+    # The limit is lifted for the command only, so the caller keeps its own.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return args.handler(args, parser)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # ---- rendering helpers ----

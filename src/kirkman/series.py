@@ -51,7 +51,6 @@ function, so instances may be shared freely between threads.
 
 from __future__ import annotations
 
-import sys
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, InvalidOperation, Rounded
 from fractions import Fraction
 from itertools import accumulate
@@ -172,24 +171,21 @@ def _kronecker_product(x: BiSeries, y: BiSeries) -> BiSeries:
     bits = max(b + reach[max_a - i] for i, b in enumerate(x_bits))
     bits += ((max_a + 1) * (max_b + 1)).bit_length()
     width = bits * 30103 // 100000 + 1  # 10^width > 2^bits, as 0.30103 > log10(2)
-    # str and int refuse more digits than the interpreter's int/str limit;
-    # Decimal converts an int of any size, but 3-4x slower, so only past it
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if 0 < limit < width:
-        digits, number = (lambda v: str(Decimal(v))), (lambda t: int(Decimal(t)))
-    else:
-        digits, number = str, int
-
     # exact: any rounding would raise instead of passing silently; the
     # default Emax would overflow a product past 999,999 digits
     context = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded, InvalidOperation])
 
     def pack(table: Sequence[Sequence[int]]) -> Decimal:
+        # Decimal, unlike str and int, converts an int of any size: a slot may
+        # be wider than the interpreter's int/str digit limit
         gap = "0" * (width * max_b)
-        packed = "".join(
-            gap + "".join(digits(v).zfill(width) for v in reversed(row)) for row in reversed(table)
+        return Decimal(
+            "".join(
+                gap + "".join(str(Decimal(v)).zfill(width) for v in reversed(row))
+                for row in reversed(table)
+            ),
+            context,
         )
-        return Decimal(packed, context)
 
     product = str(context.multiply(pack(x.coeff), pack(y.coeff)))
     product = product.zfill((max_a * stride + max_b + 1) * width)
@@ -197,7 +193,9 @@ def _kronecker_product(x: BiSeries, y: BiSeries) -> BiSeries:
     for a in range(max_a + 1):
         end = len(product) - a * stride * width
         row = product[end - (max_b + 1) * width : end]
-        rows.append(tuple(number(row[k : k + width]) for k in range(max_b * width, -1, -width)))
+        rows.append(
+            tuple(int(Decimal(row[k : k + width])) for k in range(max_b * width, -1, -width))
+        )
     return BiSeries(x.rect, tuple(rows))
 
 

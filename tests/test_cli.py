@@ -73,6 +73,24 @@ def test_coeff_prints_past_the_int_str_limit():
         assert out == expected
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit here"
+)
+def test_main_restores_the_callers_int_str_limit(capsys):
+    # main lifts the limit for its command only: the coefficient prints in
+    # full, and an in-process caller gets its own limit back afterwards
+    expected = str(Decimal(math.comb(16002, 8001) // 8002))
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, _ = run(["coeff", "--p", "1", "--m", "8000", "--n", "0"], capsys)
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert code == 0
+    assert out.rstrip("\n") == expected
+
+
 def test_coeff_rejects_zero_power(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["coeff", "--p", "0", "--m", "1", "--n", "1"])
