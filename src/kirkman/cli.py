@@ -83,22 +83,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # the SIGPIPE disposition and the int/str digit limit are changed for the
+    # command only, so an in-process caller gets its own back afterwards
+    pipe = None
     if hasattr(signal, "SIGPIPE"):
         # die quietly on a closed pipe, not in a traceback with exit 1 ("disagreement")
-        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return args.handler(args, parser)
-    # print every coefficient in full; the default 4,300-digit limit on
-    # int-to-str conversion would end a large one in a traceback with exit 1.
-    # The limit is lifted for the command only, so the caller keeps its own.
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+        pipe = signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    limit = None
     try:
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if hasattr(sys, "set_int_max_str_digits"):
+            # print every coefficient in full; the default 4,300-digit limit on
+            # int-to-str conversion would end a large one in a traceback with exit 1
+            limit = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
         return args.handler(args, parser)
     finally:
-        sys.set_int_max_str_digits(limit)
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+        if pipe is not None:
+            # flushed while SIGPIPE is still fatal, so a reader that closed the
+            # pipe ends the command by the signal, not by a BrokenPipeError at exit
+            sys.stdout.flush()
+            signal.signal(signal.SIGPIPE, pipe)
 
 
 # ---- rendering helpers ----

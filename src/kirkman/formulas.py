@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .series import BiSeries, Rect, _power, _product_cell, _quotient, poly
+from .series import BiSeries, Rect, _integral_quotient, _power, _product_cell, poly
 
 
 class KirkmanIndex(NamedTuple("KirkmanIndex", [("p", int), ("m", int), ("n", int)])):
@@ -58,12 +58,8 @@ def closed_form_coeff(p: int, m: int, n: int) -> int:
     that integrality is asserted from the remainder rather than assumed.
     """
     KirkmanIndex(p, m, n)
-    value = _quotient(
-        p * binomial(m + n + p - 1, n) * binomial(2 * m + n + 2 * p, m + n + 2 * p), m + p
-    )
-    if isinstance(value, Fraction):
-        raise ArithmeticError(f"integrality violated at p={p} m={m} n={n}: {value}")
-    return value
+    numerator = p * binomial(m + n + p - 1, n) * binomial(2 * m + n + 2 * p, m + n + 2 * p)
+    return _integral_quotient(numerator, m + p, p, m, n)
 
 
 def fixpoint_series(window: Rect) -> BiSeries:

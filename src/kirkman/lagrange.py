@@ -19,9 +19,7 @@ the closed form, and the integrality of every cell is asserted.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .series import BiSeries, Rect, _power, _quotient, poly
+from .series import BiSeries, Rect, _integral_quotient, _power, poly
 
 
 def build_phi(window: Rect) -> BiSeries:
@@ -43,13 +41,8 @@ def lagrange_table(p: int, window: Rect) -> BiSeries:
     rows = []
     for m in range(window.max_a + 1):
         power = _power(phi.restrict(Rect(m, window.max_b)), m + p, 1, phi[0, 0] ** (m + p))
-        row = []
-        for n, cell in enumerate(power.coeff[m]):
-            value = _quotient(p * cell, m + p)
-            if isinstance(value, Fraction):
-                raise ArithmeticError(f"integrality violated at p={p} m={m} n={n}: {value}")
-            row.append(value)
-        rows.append(tuple(row))
+        cells = enumerate(power.coeff[m])
+        rows.append(tuple(_integral_quotient(p * v, m + p, p, m, n) for n, v in cells))
     return BiSeries(window, tuple(rows))
 
 

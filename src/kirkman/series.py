@@ -7,14 +7,14 @@ inputs at indices (i, j) with i <= a and j <= b, so arithmetic on the window
 is exact for the represented terms.  Variables are positional; the same type
 serves series in (z, w) and in (y, w).
 
-Cells are ``int`` or ``Fraction``.  Wherever a division can happen
-(construction, ``scale``, ``reciprocal``, ``sqrt``) the result is stored as a
-plain ``int`` when it is an integer and as a ``Fraction`` only when it is
-not: ``_exact`` normalises a value, and ``_quotient`` divides by ``divmod``,
-so an integer quotient never passes through a ``Fraction``.  Addition,
-subtraction and products need no normalising: integer cells give integer
-cells, and mixed int/Fraction arithmetic stays exact.  A table built from
-integers therefore holds only ints unless some division in it leaves a
+Cells are ``int`` or ``Fraction``.  Every division (construction, which
+divides by 1, ``scale`` and the powers) goes through one divider,
+``_quotient``: it stores a plain ``int`` when the result is an integer and a
+``Fraction`` only when it is not, and it divides an int by an int by
+``divmod``, so an integer quotient never passes through a ``Fraction``.
+Addition, subtraction and products need no normalising: integer cells give
+integer cells, and mixed int/Fraction arithmetic stays exact.  A table built
+from integers therefore holds only ints unless some division in it leaves a
 remainder.
 
 One kernel, ``_power``, fills every power s = x^(num/den) of an x with
@@ -29,11 +29,10 @@ summed while s[a,b] still holds 0, which drops exactly the pairing of x[0,0]
 with s[a,b] moved to the left side.  The weight depends only on the rows i
 and a, so each target row weights x's rows once and each cell is one product
 cell.  Row 0, x[0]^(num/den), comes from the same recurrence in the second
-variable (i, a -> j, b), with no binomial.  For num/den = -1 the weight is
--den a throughout and cancels, so the reciprocal sums the plain product.
-Cells are filled in row-major order, so every other cell read is already
-filled, and only the operand's rows up to its last nonzero one are read:
-the radicand of the radical route has two.
+variable (i, a -> j, b), with no binomial.  Cells are filled in row-major
+order, so every other cell read is already filled, and only the operand's
+rows up to its last nonzero one are read: the radicand of the radical route
+has two.
 
 A second kernel, ``_kronecker_product``, takes the whole truncated product
 of two tables of non-negative ints in one exact multiplication (Kronecker
@@ -60,21 +59,23 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 Scalar = Union[int, Fraction]
 
 
-def _exact(value: Scalar) -> Scalar:
-    # int if integral, else Fraction; an int or a Fraction is not rebuilt
-    if type(value) is int:
-        return value
-    q = value if isinstance(value, Fraction) else Fraction(value)
-    return q.numerator if q.denominator == 1 else q
-
-
 def _quotient(num: Scalar, den: Scalar) -> Scalar:
-    # num / den as _exact stores it; dividing an int by an int builds a
-    # Fraction only when the division leaves a remainder
+    # num / den, stored as an int when integral and as a Fraction only when
+    # not; dividing an int by an int builds a Fraction only when the division
+    # leaves a remainder, and any other num is converted exactly
     if type(num) is int and type(den) is int:
         q, r = divmod(num, den)
         return Fraction(num, den) if r else q
-    return _exact(num / den)
+    q = num / den if isinstance(num, Fraction) else Fraction(num) / den
+    return q.numerator if q.denominator == 1 else q
+
+
+def _integral_quotient(num: Scalar, den: int, p: int, m: int, n: int) -> int:
+    # coefficient (m, n) of f^p as num / den, asserted to be an integer
+    value = _quotient(num, den)
+    if type(value) is not int:
+        raise ArithmeticError(f"integrality violated at p={p} m={m} n={n}: {value}")
+    return value
 
 
 class Rect(NamedTuple("Rect", [("max_a", int), ("max_b", int)])):
@@ -128,18 +129,13 @@ def _power(x: BiSeries, num: int, den: int, seed: Scalar) -> BiSeries:
     out: list[list[Scalar]] = [[0] * len(row) for row in x.coeff]
     top = out[0]
     top[0] = seed
-    if not k:
-        for a, b in x.rect.cells():
-            if a or b:
-                out[a][b] = _quotient(-_product_cell(rows, out, a, b), x00)
-    else:
-        for b in range(1, len(top)):
-            value = sum((k * j - den * b) * first[j] * top[b - j] for j in range(1, b + 1))
-            top[b] = _quotient(value, den * b * x00)
-        for a in range(1, len(out)):
-            weighted = [[(k * i - den * a) * v for v in r] for i, r in enumerate(rows[: a + 1])]
-            for b in range(len(top)):
-                out[a][b] = _quotient(_product_cell(weighted, out, a, b), den * a * x00)
+    for b in range(1, len(top)):
+        value = sum((k * j - den * b) * first[j] * top[b - j] for j in range(1, b + 1))
+        top[b] = _quotient(value, den * b * x00)
+    for a in range(1, len(out)):
+        weighted = [[(k * i - den * a) * v for v in r] for i, r in enumerate(rows[: a + 1])]
+        for b in range(len(top)):
+            out[a][b] = _quotient(_product_cell(weighted, out, a, b), den * a * x00)
     return BiSeries(x.rect, tuple(tuple(row) for row in out))
 
 
@@ -258,7 +254,7 @@ class BiSeries:
             if (a, b) in seen:
                 raise ValueError(f"duplicate index ({a}, {b})")
             seen.add((a, b))
-            table[a][b] = _exact(value)
+            table[a][b] = _quotient(value, 1)
         return cls(rect, tuple(tuple(row) for row in table))
 
     @classmethod
@@ -353,9 +349,11 @@ class BiSeries:
     def reciprocal(self) -> BiSeries:
         """Multiplicative inverse on the rectangle.
 
-        The power x^-1 of the module docstring's recurrence, in which every
-        weight cancels: r[a,b] = -(x * r)[a,b] / x[0,0], summed while
-        r[a,b] still holds 0.  Each cell reads only x's nonzero rows.
+        The power x^-1 of the module docstring's recurrence.  Its weights
+        are all -a (-b in row 0); they are applied, and the division by
+        a x[0,0] (b x[0,0] in row 0) cancels them, so each cell is
+        r[a,b] = -(x * r)[a,b] / x[0,0], summed while r[a,b] still holds 0.
+        Each cell reads only x's nonzero rows.
         """
         x = self.coeff
         if x[0][0] == 0:

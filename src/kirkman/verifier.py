@@ -6,10 +6,11 @@ The generalized identity states that for p = r + s,
 
 where c_p(m, n) is the closed-form coefficient of [z^m w^n] f^p.  The r = s
 = 1 case is Kirkman's hypothesis, and its N = 0 restriction is Cayley's
-case.  A sweep builds the closed-form tables of c_r, c_s and c_p once, takes
-every left side at once as the exact truncated product of the first two
-(one decimal multiplication, ``series._kronecker_product``) and reads the
-right side from the third.  Both factors are closed-form tables and no
+case.  A sweep builds the closed-form table of each distinct power among r,
+s and p once (two tables when r = s), takes every left side at once as the
+exact truncated product of the tables of c_r and c_s (one decimal
+multiplication, ``series._kronecker_product``) and reads the right side
+from the table of c_p.  Both factors are closed-form tables and no
 series power enters, so a sweep is a genuine check of the identity rather
 than a tautology of series arithmetic; the series-level fact
 f^r f^s = f^(r+s) is tested separately as an invariant.
@@ -101,8 +102,9 @@ def sweep_cells(
 ) -> Iterator[tuple[int, int, int, int]]:
     """Yield (M, N, lhs, rhs) over the sweep range in lexicographic order."""
     window = Rect(max_M, max_N)
-    lhs = _kronecker_product(closed_table(r, window), closed_table(s, window))
-    rhs = closed_table(r + s, window)
+    tables = {q: closed_table(q, window) for q in {r, s, r + s}}
+    lhs = _kronecker_product(tables[r], tables[s])
+    rhs = tables[r + s]
     for M, N in window.cells():
         yield M, N, lhs[M, N], rhs[M, N]
 

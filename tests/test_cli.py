@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from decimal import Decimal
@@ -89,6 +90,19 @@ def test_main_restores_the_callers_int_str_limit(capsys):
         sys.set_int_max_str_digits(previous)
     assert code == 0
     assert out.rstrip("\n") == expected
+
+
+def test_main_restores_the_callers_sigpipe_disposition(capsys):
+    # main dies on a closed pipe for its command only: an in-process caller
+    # that ignores SIGPIPE still ignores it afterwards
+    previous = signal.signal(signal.SIGPIPE, signal.SIG_IGN)
+    try:
+        code, out, _ = run(["coeff", "--p", "1", "--m", "1", "--n", "1"], capsys)
+        assert signal.getsignal(signal.SIGPIPE) == signal.SIG_IGN
+    finally:
+        signal.signal(signal.SIGPIPE, previous)
+    assert code == 0
+    assert out == "5\n"
 
 
 def test_coeff_rejects_zero_power(capsys):
@@ -399,3 +413,25 @@ def test_closed_pipe_ends_quietly():
         err = proc.stderr.read()
     assert code not in (0, 1, 2)
     assert b"Traceback" not in err
+
+
+def test_closed_pipe_ends_quietly_when_the_output_is_still_buffered():
+    # a short output is still in stdout's buffer when main returns, and the
+    # reader is already gone: flushing it must end the command by SIGPIPE,
+    # not by a BrokenPipeError at exit (status 120)
+    env = {**os.environ, "PYTHONPATH": str(Path(kirkman.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "kirkman.cli", "coeff", "--p", "1", "--m", "1", "--n", "1"],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == -signal.SIGPIPE
+    assert proc.stderr == b""

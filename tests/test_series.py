@@ -423,6 +423,7 @@ _R = Rect(3, 3)
 _PADDED = Rect(7, 3)
 INTEGER_CASES = {
     "from_table": lambda: _int_series(_R, 4),
+    "from_table_integral_fraction": lambda: _int_series(_R, Fraction(4, 2)),
     "mul": lambda: _int_series(_R, 4) * _int_series(_R, -3, seed=6),
     "pow": lambda: _int_series(_R, 2) ** 3,
     "reciprocal_plus_one": lambda: _int_series(_R, 1).reciprocal(),
@@ -443,6 +444,11 @@ INTEGER_CASES = {
 def test_integer_inputs_give_int_cells(build):
     series = build()
     assert all(type(value) is int for row in series.coeff for value in row)
+
+
+def test_from_table_keeps_a_non_integral_cell_a_fraction():
+    value = BiSeries.from_table(_R, {(0, 0): Fraction(1, 3)})[0, 0]
+    assert type(value) is Fraction and value == Fraction(1, 3)
 
 
 # ---- the packed product of the identity sweep ----

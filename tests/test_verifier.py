@@ -110,6 +110,20 @@ def test_sweep_takes_no_product_cell(monkeypatch, capsys):
     assert calls == []
 
 
+def test_sweep_builds_one_table_per_distinct_power(monkeypatch):
+    # Kirkman's r = s = 1 needs the tables of c_1 and c_2 only
+    powers = []
+    build = verifier_module.closed_table
+
+    def recorder(p, window):
+        powers.append(p)
+        return build(p, window)
+
+    monkeypatch.setattr(verifier_module, "closed_table", recorder)
+    assert verify_generalized(1, 1, 6, 6).passed
+    assert sorted(powers) == [1, 2]
+
+
 def test_sweep_cells_order():
     cells = [(M, N) for M, N, _, _ in sweep_cells(1, 1, 2, 1)]
     assert cells == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
