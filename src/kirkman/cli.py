@@ -9,7 +9,6 @@ diagnostics to stderr.  All numbers are printed in full decimal expansion.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import signal
 import sys
@@ -114,14 +113,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def _emit_rows(fmt: str, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
     # each row is written as it is produced; a non-integer renders as "p/q",
-    # and in csv None is a blank cell and a boolean is written as in JSON
+    # and in csv None is a blank cell and a boolean is written as in JSON; no
+    # field (ints, p/q, blanks, true/false, ok/fail, headers) ever needs quoting
     if fmt == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
+        sys.stdout.write(",".join(header) + "\n")
         for row in rows:
-            writer.writerow(
-                ["" if v is None else json.dumps(v) if isinstance(v, bool) else v for v in row]
-            )
+            fields = [
+                "" if v is None else json.dumps(v) if isinstance(v, bool) else str(v) for v in row
+            ]
+            sys.stdout.write(",".join(fields) + "\n")
     elif fmt == "json-lines":
         for row in rows:
             sys.stdout.write(json.dumps(dict(zip(header, row)), default=str) + "\n")

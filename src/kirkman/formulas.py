@@ -8,7 +8,8 @@ solving
 Its coefficients interpolate Catalan numbers ([z^m w^0] f = Catalan(m+1))
 and the geometric row ([z^0 w^n] f = 1).  This module provides:
 
-  * ``closed_form_coeff`` -- the binomial closed form for [z^m w^n] f^p,
+  * ``closed_form_coeff`` -- the binomial closed form for one cell [z^m w^n]
+                             f^p (``verifier.closed_table`` walks term ratios),
   * ``fixpoint_series``   -- f in one pass of the quadratic's coefficient
                              recurrence,
   * ``radical_series``    -- f from its radical expression, as an

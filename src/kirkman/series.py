@@ -60,13 +60,14 @@ Scalar = Union[int, Fraction]
 
 
 def _quotient(num: Scalar, den: Scalar) -> Scalar:
-    # num / den, stored as an int when integral and as a Fraction only when
-    # not; dividing an int by an int builds a Fraction only when the division
-    # leaves a remainder, and any other num is converted exactly
+    # num / den as an int when integral and as a Fraction only when not: an
+    # int over an int builds a Fraction only for a remainder, a Fraction over
+    # 1 is kept as it is, and any other num is converted exactly
     if type(num) is int and type(den) is int:
         q, r = divmod(num, den)
         return Fraction(num, den) if r else q
-    q = num / den if isinstance(num, Fraction) else Fraction(num) / den
+    num = num if isinstance(num, Fraction) else Fraction(num)
+    q = num if den == 1 else num / den
     return q.numerator if q.denominator == 1 else q
 
 

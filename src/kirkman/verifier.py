@@ -7,7 +7,7 @@ The generalized identity states that for p = r + s,
 where c_p(m, n) is the closed-form coefficient of [z^m w^n] f^p.  The r = s
 = 1 case is Kirkman's hypothesis, and its N = 0 restriction is Cayley's
 case.  A sweep builds the closed-form table of each distinct power among r,
-s and p once (two tables when r = s), takes every left side at once as the
+s and p once (two when r = s; by term ratios), takes every left side as the
 exact truncated product of the tables of c_r and c_s (one decimal
 multiplication, ``series._kronecker_product``) and reads the right side
 from the table of c_p.  Both factors are closed-form tables and no
@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from .formulas import closed_form_coeff, power_series, radical_series
+from .formulas import KirkmanIndex, power_series, radical_series
 from .lagrange import lagrange_table
-from .series import BiSeries, Rect, Scalar, _kronecker_product, _product_cell
+from .series import BiSeries, Rect, Scalar, _integral_quotient, _kronecker_product, _product_cell
 
 
 class Counterexample(NamedTuple):
@@ -71,9 +71,22 @@ class CoeffReport(NamedTuple):
 
 
 def closed_table(p: int, window: Rect) -> BiSeries:
-    """The closed form c_p(m, n) at every cell of ``window``."""
-    rows, columns = range(window.max_a + 1), range(window.max_b + 1)
-    return BiSeries(window, tuple(tuple(closed_form_coeff(p, m, n) for n in columns) for m in rows))
+    """c_p(m, n) on ``window`` by term ratios: c_p is hypergeometric in m and n.
+
+    From c(0, 0) = 1, c(m, 0) = c(m-1, 0) 2(m-1+p)(2m+2p-1) / (m(m+2p)) and
+    c(m, n+1) = c(m, n) (m+n+p)(2m+n+2p+1) / ((n+1)(m+n+2p+1)), each division
+    asserted integral; no binomial is taken (``closed_form_coeff`` is the reference).
+    """
+    KirkmanIndex(p, window.max_a, window.max_b)
+    rows: list[tuple[int, ...]] = []
+    for m in range(window.max_a + 1):
+        num, den = 2 * (m - 1 + p) * (2 * m + 2 * p - 1), m * (m + 2 * p)
+        row = [_integral_quotient(rows[-1][0] * num, den, p, m, 0) if m else 1]
+        for n in range(window.max_b):
+            num, den = (m + n + p) * (2 * m + n + 2 * p + 1), (n + 1) * (m + n + 2 * p + 1)
+            row.append(_integral_quotient(row[n] * num, den, p, m, n + 1))
+        rows.append(tuple(row))
+    return BiSeries(window, tuple(rows))
 
 
 def convolution_lhs(x: BiSeries, y: BiSeries, M: int, N: int) -> int:

@@ -192,13 +192,16 @@ def test_criterion_9_property_suite():
 
 @criterion(10, "corrupted coefficient drives verify and crosscheck to exit 1")
 def test_criterion_10_mutation(monkeypatch, capsys):
-    true_closed = closed_form_coeff
+    true_closed = verifier_module.closed_table
 
-    def corrupted(p, m, n):
-        value = true_closed(p, m, n)
-        return value + 1 if (p, m, n) == (2, 1, 0) else value
+    def corrupted(p, window):
+        # c_2(1, 0) one too large
+        table = true_closed(p, window)
+        if p == 2 and window.contains(1, 0):
+            return table + BiSeries.from_table(window, {(1, 0): 1})
+        return table
 
-    monkeypatch.setattr(verifier_module, "closed_form_coeff", corrupted)
+    monkeypatch.setattr(verifier_module, "closed_table", corrupted)
 
     code = main(["verify", "--r", "1", "--s", "1", "--max-M", "3", "--max-N", "3",
                  "--format", "json-lines"])

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -17,14 +19,25 @@ import pytest
 import kirkman
 import kirkman.verifier as verifier_module
 from kirkman.cli import main
-from kirkman.formulas import closed_form_coeff
 from kirkman.series import BiSeries
+from kirkman.verifier import closed_table
 
 
 def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_readme_usage_examples_exit_0(capsys):
+    # every command in README's CLI block runs as shown, so the examples cannot rot
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = re.findall(r"^    kirkman (.+)$", readme, flags=re.MULTILINE)
+    assert len(commands) >= 5
+    for command in commands:
+        code, out, _ = run(shlex.split(command), capsys)
+        assert code == 0, command
+        assert out, command
 
 
 # ---- coeff ----
@@ -317,16 +330,16 @@ def test_crosscheck_json_lines(capsys):
 # ---- corrupted-coefficient paths ----
 
 
-def _corrupted_closed_form(bad_index):
-    def wrapper(p, m, n):
-        value = closed_form_coeff(p, m, n)
-        return value + 1 if (p, m, n) == bad_index else value
-
-    return wrapper
+def _corrupted_closed_table(p, window):
+    # the closed route as the verifier sees it, with c_2(1, 0) one too large
+    table = closed_table(p, window)
+    if p == 2 and window.contains(1, 0):
+        return table + BiSeries.from_table(window, {(1, 0): 1})
+    return table
 
 
 def test_verify_exits_1_on_counterexample(monkeypatch, capsys):
-    monkeypatch.setattr(verifier_module, "closed_form_coeff", _corrupted_closed_form((2, 1, 0)))
+    monkeypatch.setattr(verifier_module, "closed_table", _corrupted_closed_table)
     code, out, _ = run(["verify", "--r", "1", "--s", "1", "--max-M", "2", "--max-N", "2"], capsys)
     assert code == 1
     assert out.startswith("FAIL")
@@ -335,7 +348,7 @@ def test_verify_exits_1_on_counterexample(monkeypatch, capsys):
 
 
 def test_verify_counterexample_record_is_well_formed(monkeypatch, capsys):
-    monkeypatch.setattr(verifier_module, "closed_form_coeff", _corrupted_closed_form((2, 1, 0)))
+    monkeypatch.setattr(verifier_module, "closed_table", _corrupted_closed_table)
     code, out, _ = run(
         ["verify", "--r", "1", "--s", "1", "--max-M", "2", "--max-N", "2",
          "--format", "json-lines"],
@@ -366,9 +379,9 @@ def _corrupt_route(monkeypatch, route, delta):
         ("lagrange_table", "lagrange"),
         ("power_series", "series"),
         ("radical_series", "radical"),
-        ("closed_form_coeff", "closed"),
+        ("closed_table", "closed"),
     ],
-    ids=["lagrange", "power_series", "radical_series", "closed_form_coeff"],
+    ids=["lagrange", "power_series", "radical_series", "closed_table"],
 )
 def test_crosscheck_exits_1_naming_routes(monkeypatch, capsys, route, name):
     _corrupt_route(monkeypatch, route, 7)

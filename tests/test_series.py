@@ -43,6 +43,14 @@ def test_from_table_z_plus_w():
     assert s[0, 0] == 0 and s[2, 2] == 0
 
 
+def test_from_table_keeps_fraction_cells():
+    # a non-integral Fraction is stored as it is, an integral one as an int
+    quarter = Fraction(-3, 4)
+    s = BiSeries.from_table(Rect(1, 1), {(0, 0): quarter, (1, 1): Fraction(6, 3)})
+    assert s[0, 0] is quarter
+    assert s[1, 1] == 2 and type(s[1, 1]) is int
+
+
 def test_from_table_index_out_of_rectangle():
     with pytest.raises(ValueError, match="out of rectangle"):
         BiSeries.from_table(Rect(1, 1), {(2, 0): 1})

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 import kirkman.verifier as verifier_module
@@ -29,6 +31,61 @@ def test_identity_params_validation():
         verify_generalized(0, 1, 0, 0)
     with pytest.raises(ValueError, match="non-negative"):
         verify_generalized(1, 1, -1, 0)
+
+
+# ---- the closed table by term ratios ----
+
+
+def test_closed_table_equals_closed_form():
+    # every cell of the acceptance windows (all within 25x25) and of an
+    # asymmetric window, against the one-cell binomial reference
+    for window in (Rect(25, 25), Rect(24, 16)):
+        for p in range(1, 7):
+            table = closed_table(p, window)
+            for m, n in window.cells():
+                assert table[m, n] == closed_form_coeff(p, m, n), (p, m, n)
+
+
+def test_closed_table_catalan_column_to_2000():
+    column = closed_table(1, Rect(2000, 0))
+    assert [column[m, 0] for m in range(2001)] == [catalan(m + 1) for m in range(2001)]
+
+
+def test_closed_table_rejects_power_zero():
+    with pytest.raises(ValueError, match="power must be >= 1"):
+        closed_table(0, Rect(2, 2))
+
+
+def test_closed_table_asserts_integrality_at_every_step(monkeypatch):
+    # a step that comes out one too large, c_2(1, 0) = 5 instead of 4, makes
+    # the next step's division leave a remainder: 5 * 21 / 6 = 35/2
+    divide = verifier_module._integral_quotient
+
+    def one_too_many(num, den, p, m, n):
+        value = divide(num, den, p, m, n)
+        return value + 1 if (p, m, n) == (2, 1, 0) else value
+
+    monkeypatch.setattr(verifier_module, "_integral_quotient", one_too_many)
+    with pytest.raises(ArithmeticError, match="integrality violated at p=2 m=1 n=1: 35/2$"):
+        closed_table(2, Rect(1, 1))
+
+
+def test_verify_takes_no_binomial(monkeypatch, capsys):
+    calls = []
+    comb = math.comb
+
+    def recorder(*args):
+        calls.append(args)
+        return comb(*args)
+
+    monkeypatch.setattr(math, "comb", recorder)
+    assert main(["verify", "--r", "1", "--s", "1", "--max-M", "8", "--max-N", "8"]) == 0
+    assert "81 cases" in capsys.readouterr().out
+    assert calls == []
+    # the recorder sees the one-cell closed form's binomials
+    assert main(["coeff", "--p", "1", "--m", "1", "--n", "1"]) == 0
+    assert capsys.readouterr().out == "5\n"
+    assert calls
 
 
 def test_convolution_lhs_examples():
@@ -163,17 +220,17 @@ def test_cross_check_catalan_row():
         assert r.values["radical"] == r.values["closed"]
 
 
-def _corrupted_closed_form(bad_index):
-    def wrapper(p, m, n):
-        value = closed_form_coeff(p, m, n)
-        return value + 1 if (p, m, n) == bad_index else value
-
-    return wrapper
+def _corrupted_closed_table(p, window):
+    # the closed route as the verifier sees it, with c_2(1, 0) one too large
+    table = closed_table(p, window)
+    if p == 2 and window.contains(1, 0):
+        return table + BiSeries.from_table(window, {(1, 0): 1})
+    return table
 
 
 def test_verify_reports_first_counterexample(monkeypatch):
     # corrupt the rhs coefficient at (p, M, N) = (2, 1, 0)
-    monkeypatch.setattr(verifier_module, "closed_form_coeff", _corrupted_closed_form((2, 1, 0)))
+    monkeypatch.setattr(verifier_module, "closed_table", _corrupted_closed_table)
     report = verify_generalized(1, 1, 2, 2)
     assert not report.passed
     assert report.status == "fail"
