@@ -180,14 +180,11 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     status = "ok"
 
     def rows():
-        # one sweep, stopping after the first failing row
+        # the sweep stops after its first failing row
         nonlocal status
         for M, N, lhs, rhs in verifier.sweep_cells(args.r, args.s, args.max_M, max_N):
-            if lhs != rhs:
-                status = "fail"
+            status = "ok" if lhs == rhs else "fail"
             yield M, N, lhs, rhs, status
-            if status == "fail":
-                return
 
     _emit_rows(args.format, ("M", "N", "lhs", "rhs", "status"), rows())
     return EXIT_OK if status == "ok" else EXIT_DISAGREEMENT

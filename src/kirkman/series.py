@@ -18,10 +18,10 @@ from integers therefore holds only ints unless some division in it leaves a
 remainder.
 
 One kernel, ``_power``, fills every power s = x^(num/den) of an x with
-x[0,0] != 0 (``reciprocal``, ``sqrt`` and the integer powers of the series
-and Lagrange routes) by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2,
-section 4.7) in the first variable, whose coefficients are series in the
-second: from x s' = (num/den) s x', for every row a >= 1,
+x[0,0] != 0 (``reciprocal``, ``sqrt`` and the series route's f^p) by
+J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, section 4.7) in the first
+variable, whose coefficients are series in the second: from
+x s' = (num/den) s x', for every row a >= 1,
 
     den a x[0,0] s[a,b] = sum over i, j of ((num+den) i - den a) x[i,j] s[a-i,b-j],
 

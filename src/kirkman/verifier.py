@@ -113,13 +113,16 @@ ROUTES: dict[str, Callable[[int, Rect], Optional[BiSeries]]] = {
 def sweep_cells(
     r: int, s: int, max_M: int, max_N: int
 ) -> Iterator[tuple[int, int, int, int]]:
-    """Yield (M, N, lhs, rhs) over the sweep range in lexicographic order."""
+    """Yield (M, N, lhs, rhs) in lexicographic order, stopping after the first lhs != rhs."""
     window = Rect(max_M, max_N)
     tables = {q: closed_table(q, window) for q in {r, s, r + s}}
     lhs = _kronecker_product(tables[r], tables[s])
     rhs = tables[r + s]
     for M, N in window.cells():
-        yield M, N, lhs[M, N], rhs[M, N]
+        left, right = lhs[M, N], rhs[M, N]
+        yield M, N, left, right
+        if left != right:
+            return
 
 
 def verify_generalized(r: int, s: int, max_M: int, max_N: int) -> VerifyReport:
@@ -128,13 +131,11 @@ def verify_generalized(r: int, s: int, max_M: int, max_N: int) -> VerifyReport:
     Stops at the lexicographically first counterexample, if any.
     """
     params_range = f"r={r} s={s} 0<=M<={max_M} 0<=N<={max_N}"
-    checked = 0
-    for M, N, lhs, rhs in sweep_cells(r, s, max_M, max_N):
-        checked += 1
-        if lhs != rhs:
-            return VerifyReport(
-                params_range, checked, "fail", Counterexample(r, s, M, N, lhs, rhs)
-            )
+    # the sweep ends at its first counterexample, so its last cell gives the verdict
+    for checked, (M, N, lhs, rhs) in enumerate(sweep_cells(r, s, max_M, max_N), 1):
+        pass
+    if lhs != rhs:
+        return VerifyReport(params_range, checked, "fail", Counterexample(r, s, M, N, lhs, rhs))
     return VerifyReport(params_range, checked, "pass")
 
 

@@ -81,6 +81,18 @@ def test_build_phi_small_table():
     assert phi[1, 1] == 3
 
 
+@pytest.mark.parametrize(
+    "window",
+    [Rect(0, 0), Rect(1, 2), Rect(6, 4), Rect(12, 12), Rect(0, 9), Rect(9, 0)],
+    ids=lambda w: f"{w.max_a}x{w.max_b}",
+)
+def test_build_phi_equals_numerator_over_denominator(window):
+    # one step of _times_phi against the series product and reciprocal
+    numerator = poly(window, {(0, 0): 1, (1, 0): 2, (2, 0): 1})
+    denominator = poly(window, {(0, 0): 1, (0, 1): -1, (1, 1): -1})
+    assert build_phi(window) == numerator * denominator.reciprocal()
+
+
 def test_lagrange_coeff_examples():
     assert lagrange_coeff(1, 0, 5) == 1
     assert lagrange_coeff(1, 1, 1) == 5
@@ -96,10 +108,13 @@ def test_lagrange_coeff_rejects_bad_arguments():
 
 def test_lagrange_table_asserts_integrality(monkeypatch):
     # phi = 1 + y/2 gives [y^1] phi^2 = 1, not divisible by m + p = 2
-    def half_y_phi(window):
-        return poly(window, {(0, 0): 1, (1, 0): Fraction(1, 2)})
+    def times_one_plus_half_y(g):
+        return tuple(
+            tuple(x + Fraction(y, 2) for x, y in zip(row, lower))
+            for row, lower in zip(g, ((0,) * len(g[0]), *g))
+        )
 
-    monkeypatch.setattr(lagrange_module, "build_phi", half_y_phi)
+    monkeypatch.setattr(lagrange_module, "_times_phi", times_one_plus_half_y)
     with pytest.raises(ArithmeticError, match="integrality violated at p=1 m=1 n=0: 1/2$"):
         lagrange_table(1, Rect(1, 0))
 
@@ -112,9 +127,12 @@ def test_lagrange_agrees_with_closed_form():
 
 
 @pytest.mark.parametrize(
-    "window", [Rect(7, 4), Rect(0, 6), Rect(6, 0), Rect(5, 5)], ids=lambda w: f"{w.max_a}x{w.max_b}"
+    "p, window",
+    [(p, w) for p in (1, 2, 3, 4, 5) for w in (Rect(7, 4), Rect(0, 6), Rect(6, 0), Rect(5, 5))]
+    # long rows, long columns and a large square
+    + [(5, Rect(40, 40)), (3, Rect(300, 0)), (2, Rect(0, 300)), (7, Rect(1, 60))],
+    ids=lambda v: f"{v.max_a}x{v.max_b}" if isinstance(v, Rect) else None,
 )
-@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
 def test_lagrange_table_equals_closed_table(p, window):
     # rows m < max_m come from the running power, which no corner read reaches
     assert lagrange_table(p, window) == closed_table(p, window)

@@ -241,6 +241,14 @@ def test_verify_reports_first_counterexample(monkeypatch):
     assert c.rhs == 5
 
 
+def test_sweep_cells_stops_at_the_reported_counterexample(monkeypatch):
+    monkeypatch.setattr(verifier_module, "closed_table", _corrupted_closed_table)
+    cells = list(sweep_cells(1, 1, 2, 2))
+    c = verify_generalized(1, 1, 2, 2).first_counterexample
+    assert cells[-1] == (c.M, c.N, c.lhs, c.rhs) == (1, 0, 4, 5)
+    assert all(lhs == rhs for _, _, lhs, rhs in cells[:-1])
+
+
 def test_cross_check_detects_route_disagreement(monkeypatch):
     monkeypatch.setattr(
         verifier_module,
