@@ -3,15 +3,17 @@
 Exit codes: 0 success / identity verified, 1 mathematical disagreement
 found, 2 usage error; a reader closing the pipe early ends it quietly by
 SIGPIPE, as it ends ``cat`` (shell status 141).  Data goes to stdout,
-diagnostics to stderr.  All numbers are printed in full decimal expansion.
+diagnostics to stderr.  All numbers are printed in full decimal expansion,
+and rows in blocks of about 64 KiB of whole lines, one write each: every row
+exists before the first block is written, so blocking delays nothing.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import signal
 import sys
+from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import formulas, verifier
@@ -22,6 +24,7 @@ EXIT_DISAGREEMENT = 1
 EXIT_USAGE = 2
 
 FORMATS = ("pretty", "csv", "json-lines")
+_BLOCK_CHARS = 1 << 16  # a block of output lines is written once it holds this many characters
 
 
 def _int_at_least(low: int) -> Callable[[str], int]:
@@ -111,20 +114,35 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 # ---- rendering helpers ----
 
 
+def _write_lines(lines: Iterable[str]) -> None:
+    # one stdout write per block of whole lines, cleared first so a failed write is not
+    # repeated; ``finally`` writes the last block, so lines before an exception appear
+    block: list[str] = []
+    size = 0
+    try:
+        for line in lines:
+            block.append(line)
+            size += len(line) + 1
+            if size >= _BLOCK_CHARS:
+                text, block, size = "\n".join(block) + "\n", [], 0
+                sys.stdout.write(text)
+    finally:
+        if block:
+            sys.stdout.write("\n".join(block) + "\n")
+
+
 def _emit_rows(fmt: str, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    # each row is written as it is produced; a non-integer renders as "p/q",
-    # and in csv None is a blank cell and a boolean is written as in JSON; no
-    # field (ints, p/q, blanks, true/false, ok/fail, headers) ever needs quoting
+    # a non-integer renders as "p/q"; in csv None is a blank cell and a boolean is written
+    # as in JSON; no field (ints, p/q, blanks, true/false, ok/fail, headers) needs quoting
     if fmt == "csv":
-        sys.stdout.write(",".join(header) + "\n")
-        for row in rows:
-            fields = [
-                "" if v is None else json.dumps(v) if isinstance(v, bool) else str(v) for v in row
-            ]
-            sys.stdout.write(",".join(fields) + "\n")
+        fields = (
+            ("" if v is None else str(v).lower() if isinstance(v, bool) else str(v) for v in row)
+            for row in rows
+        )
+        _write_lines(chain([",".join(header)], map(",".join, fields)))
     elif fmt == "json-lines":
-        for row in rows:
-            sys.stdout.write(json.dumps(dict(zip(header, row)), default=str) + "\n")
+        import json  # here, not at the top: csv, pretty and --help skip its import time
+        _write_lines(json.dumps(dict(zip(header, row)), default=str) for row in rows)
     else:
         raise AssertionError(f"unhandled format {fmt!r}")
 
@@ -142,16 +160,14 @@ def _cmd_coeff(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def _cmd_expand(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    window = Rect(args.max_m, args.max_n)
-    table = verifier.ROUTES[args.method](args.p, window)
+    table = verifier.ROUTES[args.method](args.p, Rect(args.max_m, args.max_n))
     if table is None:
         parser.error(f"--method {args.method} is only defined for --p 1")
+    cells = ((m, n, v) for m, row in enumerate(table.coeff) for n, v in enumerate(row))
     if args.format == "pretty":
-        for m, n in window.cells():
-            print(f"[z^{m} w^{n}] {table[m, n]}")
+        _write_lines(f"[z^{m} w^{n}] {v}" for m, n, v in cells)
     else:
-        rows = ((m, n, table[m, n]) for m, n in window.cells())
-        _emit_rows(args.format, ("m", "n", "coefficient"), rows)
+        _emit_rows(args.format, ("m", "n", "coefficient"), cells)
     return EXIT_OK
 
 

@@ -117,12 +117,11 @@ def sweep_cells(
     window = Rect(max_M, max_N)
     tables = {q: closed_table(q, window) for q in {r, s, r + s}}
     lhs = _kronecker_product(tables[r], tables[s])
-    rhs = tables[r + s]
-    for M, N in window.cells():
-        left, right = lhs[M, N], rhs[M, N]
-        yield M, N, left, right
-        if left != right:
-            return
+    for M, (lhs_row, rhs_row) in enumerate(zip(lhs.coeff, tables[r + s].coeff)):
+        for N, (left, right) in enumerate(zip(lhs_row, rhs_row)):
+            yield M, N, left, right
+            if left != right:
+                return
 
 
 def verify_generalized(r: int, s: int, max_M: int, max_N: int) -> VerifyReport:

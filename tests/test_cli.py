@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import kirkman
+import kirkman.cli as cli_module
 import kirkman.verifier as verifier_module
 from kirkman.cli import main
 from kirkman.series import BiSeries
@@ -252,6 +254,32 @@ def test_verify_csv_rows(capsys):
     assert out == "M,N,lhs,rhs,status\n0,0,1,1,ok\n1,0,4,4,ok\n"
 
 
+def test_verify_csv_is_written_in_blocks(monkeypatch):
+    # 2,401 rows and a header in at most three writes of about 64 KiB each
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(len(text))
+            return super().write(text)
+
+    writes = []
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    argv = ["verify", "--r", "2", "--s", "3", "--max-M", "48", "--max-N", "48", "--format", "csv"]
+    assert main(argv) == 0
+    assert len(writes) <= 3
+    assert sum(writes) == len(sys.stdout.getvalue()) == 180_046
+
+
+def test_lines_rendered_before_an_exception_reach_stdout(capsys):
+    def lines():
+        yield "M,N"
+        yield "0,0"
+        raise RuntimeError("table failed")
+
+    with pytest.raises(RuntimeError, match="table failed"):
+        cli_module._write_lines(lines())
+    assert capsys.readouterr().out == "M,N\n0,0\n"
+
+
 def test_verify_json_lines(capsys):
     code, out, _ = run(
         ["verify", "--r", "1", "--s", "1", "--max-M", "0", "--max-N", "1",
@@ -358,6 +386,16 @@ def test_verify_counterexample_record_is_well_formed(monkeypatch, capsys):
     records = [json.loads(line) for line in out.splitlines()]
     assert records[-1] == {"M": 1, "N": 0, "lhs": 4, "rhs": 5, "status": "fail"}
     assert all(record["status"] == "ok" for record in records[:-1])
+
+
+def test_verify_csv_prints_every_row_up_to_the_counterexample(monkeypatch, capsys):
+    monkeypatch.setattr(verifier_module, "closed_table", _corrupted_closed_table)
+    code, out, _ = run(
+        ["verify", "--r", "1", "--s", "1", "--max-M", "2", "--max-N", "2", "--format", "csv"],
+        capsys,
+    )
+    assert code == 1
+    assert out == "M,N,lhs,rhs,status\n0,0,1,1,ok\n0,1,2,2,ok\n0,2,3,3,ok\n1,0,4,5,fail\n"
 
 
 def _corrupt_route(monkeypatch, route, delta):

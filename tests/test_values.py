@@ -62,4 +62,5 @@ def test_cli_import_loads_no_introspection_modules():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
     assert "kirkman.cli" in out
-    assert not {"dataclasses", "inspect"} & set(out)
+    # json is imported only where json-lines output is rendered
+    assert not {"dataclasses", "inspect", "json"} & set(out)

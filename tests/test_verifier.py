@@ -186,6 +186,19 @@ def test_sweep_cells_order():
     assert cells == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
 
 
+def test_sweep_cells_reads_the_tables_by_rows(monkeypatch):
+    calls = []
+    getitem = BiSeries.__getitem__
+
+    def recording(self, index):
+        calls.append(index)
+        return getitem(self, index)
+
+    monkeypatch.setattr(BiSeries, "__getitem__", recording)
+    list(sweep_cells(2, 3, 8, 8))
+    assert calls == []
+
+
 def test_report_invariant_enforced():
     with pytest.raises(ValueError, match="inconsistent"):
         VerifyReport("r=1 s=1", 1, "fail", None)
