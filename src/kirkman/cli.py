@@ -86,11 +86,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     # the SIGPIPE disposition and the int/str digit limit are changed for the
-    # command only, so an in-process caller gets its own back afterwards
+    # command only, so an in-process caller gets its own back afterwards; the
+    # limit belongs to the whole interpreter, so two threads of one process
+    # must not run main at once
     pipe = None
     if hasattr(signal, "SIGPIPE"):
-        # die quietly on a closed pipe, not in a traceback with exit 1 ("disagreement")
-        pipe = signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+        try:
+            # die quietly on a closed pipe, not in a traceback with exit 1 ("disagreement")
+            pipe = signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+        except ValueError:
+            pass  # not the main thread of the main interpreter: SIGPIPE stays as it is
     limit = None
     try:
         parser = build_parser()

@@ -10,8 +10,8 @@ and the geometric row ([z^0 w^n] f = 1).  This module provides:
 
   * ``closed_form_coeff`` -- the binomial closed form for one cell [z^m w^n]
                              f^p (``verifier.closed_table`` walks term ratios),
-  * ``fixpoint_series``   -- f in one pass of the quadratic's coefficient
-                             recurrence,
+  * ``fixpoint_series``   -- f from the quadratic's coefficient recurrence,
+                             one running sum per row,
   * ``radical_series``    -- f from its radical expression, as an
                              independent witness,
   * ``power_series``      -- f^p by the row recurrence of ``series._power``.
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple
 
 from .series import BiSeries, Rect, _integral_quotient, _power, _product_cell, poly
@@ -66,15 +67,17 @@ def closed_form_coeff(p: int, m: int, n: int) -> int:
 def fixpoint_series(window: Rect) -> BiSeries:
     """f on ``window`` as the power-series root of the defining quadratic.
 
-    One row-major pass of the quadratic's coefficient form,
+    The quadratic's coefficient form,
 
         f[a,b] = [a=b=0] + 2 f[a-1,b] + f[a,b-1] + (f^2)[a-2,b] + (f^2)[a-1,b-1],
 
-    filling f and f^2 together: cell (a, b) of f^2 is one product cell of the
-    rows filled so far, taken as soon as f[a,b] is known, and every cell the
-    recurrence reads lies in an earlier row or earlier in the same row.  This
-    is the root with constant term 1; the other root of the quadratic is not
-    a power series.
+    makes each row of f one running sum along b: row a is the running sum
+    of 2 f[a-1] + f^2[a-2] + (f^2[a-1] shifted one place in b), and row 0 the
+    running sum of [a=b=0].  f^2 is taken a row behind f: step a first
+    forms row a-1 of f^2, one product cell per entry over the rows of f
+    filled so far, so the last row of f^2, which the recurrence never reads,
+    is never formed.  This is the root with constant term 1; the other root
+    of the quadratic is not a power series.
 
     This is the recurrence the test oracle ``quadratic_table`` also uses, so
     the guards that do not depend on how f is built are the quadratic
@@ -82,20 +85,13 @@ def fixpoint_series(window: Rect) -> BiSeries:
     construction, and the radical route, which reaches f by a square root
     and two exact divisions instead.
     """
-    f = [[0] * (window.max_b + 1) for _ in range(window.max_a + 1)]
-    square = [[0] * (window.max_b + 1) for _ in range(window.max_a + 1)]
-    for a, b in window.cells():
-        value = 1 if a == b == 0 else 0
-        if a:
-            value += 2 * f[a - 1][b]
-        if b:
-            value += f[a][b - 1]
-        if a >= 2:
-            value += square[a - 2][b]
-        if a and b:
-            value += square[a - 1][b - 1]
-        f[a][b] = value
-        square[a][b] = _product_cell(f, f, a, b)
+    width = window.max_b + 1
+    f = [list(accumulate([1] + [0] * window.max_b))]
+    square = [[0] * width]  # rows of f^2, after a zero row standing for row -1
+    for a in range(1, window.max_a + 1):
+        square.append([_product_cell(f, f, a - 1, b) for b in range(width)])
+        terms = zip(f[a - 1], square[a - 1], [0, *square[a][:-1]])
+        f.append(list(accumulate(2 * up + two_up + diagonal for up, two_up, diagonal in terms)))
     return BiSeries(window, tuple(tuple(row) for row in f))
 
 

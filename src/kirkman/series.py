@@ -53,8 +53,8 @@ from __future__ import annotations
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, InvalidOperation, Rounded
 from fractions import Fraction
 from itertools import accumulate
-from operator import mul
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from operator import add, mul, sub
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -289,25 +289,17 @@ class BiSeries:
         if self.rect != other.rect:
             raise ValueError(f"rectangle mismatch: {self.rect} vs {other.rect}")
 
-    def __add__(self, other: BiSeries) -> BiSeries:
+    def _cellwise(self, op: Callable[[Scalar, Scalar], Scalar], other: BiSeries) -> BiSeries:
         self._require_same_rect(other)
         return BiSeries(
-            self.rect,
-            tuple(
-                tuple(x + y for x, y in zip(row_x, row_y))
-                for row_x, row_y in zip(self.coeff, other.coeff)
-            ),
+            self.rect, tuple(tuple(map(op, rx, ry)) for rx, ry in zip(self.coeff, other.coeff))
         )
 
+    def __add__(self, other: BiSeries) -> BiSeries:
+        return self._cellwise(add, other)
+
     def __sub__(self, other: BiSeries) -> BiSeries:
-        self._require_same_rect(other)
-        return BiSeries(
-            self.rect,
-            tuple(
-                tuple(x - y for x, y in zip(row_x, row_y))
-                for row_x, row_y in zip(self.coeff, other.coeff)
-            ),
-        )
+        return self._cellwise(sub, other)
 
     def scale(self, factor: Scalar) -> BiSeries:
         num, den = Fraction(factor).as_integer_ratio()
@@ -388,11 +380,15 @@ class BiSeries:
     def div_z_plus_w(self, target: Rect) -> BiSeries:
         """Exact division by (z + w), truncated to ``target``.
 
-        Quotient cell (a, n) telescopes along the anti-diagonal:
-        b[a,n] = sum over k of (-1)^k x[a+1+k, n-k], which consumes input
-        degrees up to a + n + 1 in the first variable.  The input must
-        therefore be padded to (target.max_a + target.max_b + 1, target.max_b)
-        at least.  Divisibility is checked through the a=0 residual row.
+        The quotient q of x = (z+w) q satisfies x[a+1,b] = q[a,b] + q[a+1,b-1],
+        so each quotient row is one input row less the row above it shifted
+        one place in the second variable: q[a] = x[a+1] - (0, q[a+1][:-1]).
+        Rows are filled from a = target.max_a + target.max_b down to 0, the
+        first from a zero row above it; the rows above the target only feed
+        cells outside it.  Input rows 1 to target.max_a + target.max_b + 1 are
+        read, in columns 0 to target.max_b, so the input must be padded to
+        (target.max_a + target.max_b + 1, target.max_b) at least.
+        Divisibility is checked through the a=0 residual row.
         """
         need_a = target.max_a + target.max_b + 1
         if self.rect.max_a < need_a or self.rect.max_b < target.max_b:
@@ -400,23 +396,14 @@ class BiSeries:
                 f"insufficient padding: division by z+w onto {target} needs a rectangle "
                 f"of at least ({need_a}, {target.max_b}), got {self.rect}"
             )
-        x = self.coeff
-        rows = []
-        for a in range(target.max_a + 1):
-            row = []
-            for n in range(target.max_b + 1):
-                acc = 0
-                for k in range(n + 1):
-                    if k % 2 == 0:
-                        acc += x[a + 1 + k][n - k]
-                    else:
-                        acc -= x[a + 1 + k][n - k]
-                row.append(acc)
-            rows.append(tuple(row))
-        quotient = BiSeries(target, tuple(rows))
+        x, width = self.coeff, target.max_b + 1
+        rows = [(0,) * width]
+        for a in range(need_a - 1, -1, -1):
+            rows.append(tuple(map(sub, x[a + 1][:width], (0, *rows[-1][:-1]))))
+        quotient = BiSeries(target, tuple(rows[::-1][: target.max_a + 1]))
         if x[0][0] != 0:
             raise ValueError("not divisible by z+w: nonzero constant term")
-        for n in range(1, target.max_b + 1):
+        for n in range(1, width):
             if x[0][n] != quotient.coeff[0][n - 1]:
                 raise ValueError(f"not divisible by z+w: residual at (0, {n})")
         return quotient

@@ -146,12 +146,15 @@ def verify_cayley(max_M: int) -> VerifyReport:
 def cross_check_methods(p: int, max_m: int, max_n: int) -> list[CoeffReport]:
     """Compute every cell of the (max_m, max_n) window on all ROUTES.
 
-    Each route builds its table once; one that does not exist for p
-    contributes None to every cell.
+    Each route builds its table once, and the tables are read together row
+    by row; one that does not exist for p reads as a table of None.
     """
     window = Rect(max_m, max_n)
+    absent = ((None,) * (max_n + 1),) * (max_m + 1)
     tables = {name: build(p, window) for name, build in ROUTES.items()}
+    rows = (absent if t is None else t.coeff for t in tables.values())
     return [
-        CoeffReport(m, n, {name: None if t is None else t[m, n] for name, t in tables.items()})
-        for m, n in window.cells()
+        CoeffReport(m, n, dict(zip(tables, cells)))
+        for m, row in enumerate(zip(*rows))
+        for n, cells in enumerate(zip(*row))
     ]

@@ -11,6 +11,7 @@ import shlex
 import signal
 import subprocess
 import sys
+import threading
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -105,6 +106,30 @@ def test_main_restores_the_callers_int_str_limit(capsys):
         sys.set_int_max_str_digits(previous)
     assert code == 0
     assert out.rstrip("\n") == expected
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit here"
+)
+def test_main_runs_in_a_worker_thread(capsys):
+    # only the main thread may set SIGPIPE, so a worker leaves it alone, but
+    # still lifts the digit limit for the command and restores it afterwards
+    expected = str(Decimal(math.comb(16002, 8001) // 8002))
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    codes = []
+    try:
+        worker = threading.Thread(
+            target=lambda: codes.append(main(["coeff", "--p", "1", "--m", "8000", "--n", "0"]))
+        )
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert codes == [0]
+    assert capsys.readouterr().out.rstrip("\n") == expected
 
 
 def test_main_restores_the_callers_sigpipe_disposition(capsys):

@@ -114,6 +114,22 @@ def test_fixpoint_matches_recurrence_oracle(window):
         assert f[a, b] == table[a, b]
 
 
+def test_fixpoint_takes_f_squared_a_row_behind(monkeypatch):
+    # step a forms row a-1 of f^2, so the last row of f^2, which the
+    # recurrence never reads, is never formed: 12 rows of 13 product cells
+    calls = []
+    kernel = formulas._product_cell
+
+    def recorder(x, y, a, b):
+        calls.append((a, b))
+        return kernel(x, y, a, b)
+
+    monkeypatch.setattr(formulas, "_product_cell", recorder)
+    fixpoint_series(Rect(12, 12))
+    assert len(calls) == 156
+    assert max(calls) == (11, 12)
+
+
 def test_fixpoint_quadratic_residual_vanishes():
     f = fixpoint_series(Rect(6, 6))
     assert quadratic_residual(f) == BiSeries.zero(Rect(6, 6))

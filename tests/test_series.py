@@ -419,6 +419,12 @@ def test_division_roundtrips_random():
         zw_small = poly(target, {(1, 0): 1, (0, 1): 1})
         assert zw_small * quotient2 == x2.restrict(target)
 
+        # an input padded past the need in both variables gives the same quotient
+        wide = Rect(padded.max_a + 2, target.max_b + 3)
+        q3 = random_series(rng, wide)
+        x3 = poly(wide, {(1, 0): 1, (0, 1): 1}) * q3
+        assert x3.div_z_plus_w(target) == q3.restrict(target)
+
 
 def _int_series(rect, constant, seed=5):
     rng = random.Random(seed)

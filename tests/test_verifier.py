@@ -199,6 +199,21 @@ def test_sweep_cells_reads_the_tables_by_rows(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("p, size", [(5, 12), (1, 6)])
+def test_cross_check_methods_reads_the_tables_by_rows(monkeypatch, p, size):
+    calls = []
+    getitem = BiSeries.__getitem__
+
+    def recording(self, index):
+        calls.append(index)
+        return getitem(self, index)
+
+    monkeypatch.setattr(BiSeries, "__getitem__", recording)
+    reports = cross_check_methods(p, size, size)
+    assert len(reports) == (size + 1) ** 2
+    assert calls == []
+
+
 def test_report_invariant_enforced():
     with pytest.raises(ValueError, match="inconsistent"):
         VerifyReport("r=1 s=1", 1, "fail", None)
