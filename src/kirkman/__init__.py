@@ -7,14 +7,7 @@ user-chosen ranges.  All arithmetic is exact: arbitrary-precision integers
 and rationals throughout.
 """
 
-from .formulas import (
-    KirkmanIndex,
-    binomial,
-    closed_form_coeff,
-    fixpoint_series,
-    power_series,
-    radical_series,
-)
+from .formulas import binomial, closed_form_coeff, fixpoint_series, power_series, radical_series
 from .lagrange import build_phi, lagrange_coeff, lagrange_table
 from .series import BiSeries, Rect, poly
 from .verifier import (
@@ -35,7 +28,6 @@ __all__ = [
     "BiSeries",
     "CoeffReport",
     "Counterexample",
-    "KirkmanIndex",
     "Rect",
     "VerifyReport",
     "binomial",

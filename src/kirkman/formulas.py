@@ -14,7 +14,8 @@ and the geometric row ([z^0 w^n] f = 1).  This module provides:
                              one running sum per row,
   * ``radical_series``    -- f from its radical expression, as an
                              independent witness,
-  * ``power_series``      -- f^p by the row recurrence of ``series._power``.
+  * ``power_series``      -- f^p by the row recurrence of ``series._power``
+                             (f itself for p = 1).
 
 All routes agree cellwise; the verifier module sweeps that agreement.  The
 series routes share only the kernels of ``series``; none reads another
@@ -26,22 +27,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate
-from typing import NamedTuple
 
-from .series import BiSeries, Rect, _integral_quotient, _power, _product_cell, poly
-
-
-class KirkmanIndex(NamedTuple("KirkmanIndex", [("p", int), ("m", int), ("n", int)])):
-    """Position (m, n) in the coefficient table of the p-th power."""
-
-    __slots__ = ()
-
-    def __new__(cls, p: int, m: int, n: int) -> KirkmanIndex:
-        if p < 1:
-            raise ValueError(f"power must be >= 1, got {p}")
-        if m < 0 or n < 0:
-            raise ValueError(f"exponents must be non-negative, got ({m}, {n})")
-        return super().__new__(cls, p, m, n)
+from .series import BiSeries, Rect, _check_power, _integral_quotient, _power, _product_cell, poly
 
 
 def binomial(a: int, b: int) -> int:
@@ -59,7 +46,9 @@ def closed_form_coeff(p: int, m: int, n: int) -> int:
     Evaluated in integers: m+p always divides p times the binomials, and
     that integrality is asserted from the remainder rather than assumed.
     """
-    KirkmanIndex(p, m, n)
+    _check_power(p)
+    if m < 0 or n < 0:
+        raise ValueError(f"exponents must be non-negative, got ({m}, {n})")
     numerator = p * binomial(m + n + p - 1, n) * binomial(2 * m + n + 2 * p, m + n + 2 * p)
     return _integral_quotient(numerator, m + p, p, m, n)
 
@@ -114,6 +103,6 @@ def radical_series(window: Rect) -> BiSeries:
 
 def power_series(p: int, window: Rect) -> BiSeries:
     """f^p on ``window``; cell (m, n) equals closed_form_coeff(p, m, n)."""
-    if p < 1:
-        raise ValueError(f"power must be >= 1, got {p}")
-    return _power(fixpoint_series(window), p, 1, 1)
+    _check_power(p)
+    f = fixpoint_series(window)
+    return f if p == 1 else _power(f, p, 1, 1)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-from .series import BiSeries, Rect, Scalar, _integral_quotient
+from .series import BiSeries, Rect, Scalar, _check_power, _integral_quotient
 
 
 def _times_phi(g: tuple[tuple[Scalar, ...], ...]) -> tuple[tuple[Scalar, ...], ...]:
@@ -43,8 +43,7 @@ def build_phi(window: Rect) -> BiSeries:
 
 def lagrange_table(p: int, window: Rect) -> BiSeries:
     """[z^m w^n] f^p at every cell of ``window``, by Lagrange inversion."""
-    if p < 1:
-        raise ValueError(f"power must be >= 1, got {p}")
+    _check_power(p)
     power, rows = BiSeries.one(window).coeff, []
     for m in range(1 - p, window.max_a + 1):
         power = _times_phi(power)  # phi^(m+p)

@@ -54,7 +54,7 @@ from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, InvalidOperat
 from fractions import Fraction
 from itertools import accumulate
 from operator import add, mul, sub
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -77,6 +77,12 @@ def _integral_quotient(num: Scalar, den: int, p: int, m: int, n: int) -> int:
     if type(value) is not int:
         raise ArithmeticError(f"integrality violated at p={p} m={m} n={n}: {value}")
     return value
+
+
+def _check_power(p: int) -> None:
+    # a table of f^p exists only for p >= 1
+    if p < 1:
+        raise ValueError(f"power must be >= 1, got {p}")
 
 
 class Rect(NamedTuple("Rect", [("max_a", int), ("max_b", int)])):
@@ -238,23 +244,12 @@ class BiSeries:
     # ---- construction ----
 
     @classmethod
-    def from_table(
-        cls,
-        rect: Rect,
-        entries: Mapping[tuple[int, int], Scalar]
-        | Iterable[tuple[tuple[int, int], Scalar]],
-    ) -> BiSeries:
-        """Series with the given coefficients and zeros elsewhere."""
-        if isinstance(entries, Mapping):
-            entries = entries.items()
+    def from_table(cls, rect: Rect, entries: Mapping[tuple[int, int], Scalar]) -> BiSeries:
+        """Series with ``entries[a, b]`` at each given cell (a, b) and zeros elsewhere."""
         table = [[0] * (rect.max_b + 1) for _ in range(rect.max_a + 1)]
-        seen: set[tuple[int, int]] = set()
-        for (a, b), value in entries:
+        for (a, b), value in entries.items():
             if not rect.contains(a, b):
                 raise ValueError(f"index out of rectangle: ({a}, {b}) not in {rect}")
-            if (a, b) in seen:
-                raise ValueError(f"duplicate index ({a}, {b})")
-            seen.add((a, b))
             table[a][b] = _quotient(value, 1)
         return cls(rect, tuple(tuple(row) for row in table))
 

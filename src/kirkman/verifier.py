@@ -20,9 +20,11 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from .formulas import KirkmanIndex, power_series, radical_series
+from .formulas import power_series, radical_series
 from .lagrange import lagrange_table
-from .series import BiSeries, Rect, Scalar, _integral_quotient, _kronecker_product, _product_cell
+from .series import (
+    BiSeries, Rect, Scalar, _check_power, _integral_quotient, _kronecker_product, _product_cell
+)
 
 
 class Counterexample(NamedTuple):
@@ -77,7 +79,7 @@ def closed_table(p: int, window: Rect) -> BiSeries:
     c(m, n+1) = c(m, n) (m+n+p)(2m+n+2p+1) / ((n+1)(m+n+2p+1)), each division
     asserted integral; no binomial is taken (``closed_form_coeff`` is the reference).
     """
-    KirkmanIndex(p, window.max_a, window.max_b)
+    _check_power(p)
     rows: list[tuple[int, ...]] = []
     for m in range(window.max_a + 1):
         num, den = 2 * (m - 1 + p) * (2 * m + 2 * p - 1), m * (m + 2 * p)

@@ -12,7 +12,6 @@ import pytest
 
 from kirkman import formulas, lagrange, series
 from kirkman.formulas import (
-    KirkmanIndex,
     binomial,
     closed_form_coeff,
     fixpoint_series,
@@ -38,13 +37,6 @@ def test_binomial_negative_upper_index():
         binomial(-1, 0)
 
 
-def test_kirkman_index_validation():
-    with pytest.raises(ValueError, match="power"):
-        KirkmanIndex(0, 1, 1)
-    with pytest.raises(ValueError, match="non-negative"):
-        KirkmanIndex(1, -1, 0)
-
-
 def test_closed_form_examples():
     assert closed_form_coeff(1, 0, 0) == 1
     assert closed_form_coeff(1, 1, 1) == 5
@@ -53,9 +45,9 @@ def test_closed_form_examples():
 
 
 def test_closed_form_rejects_bad_index():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="power"):
         closed_form_coeff(0, 1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-negative"):
         closed_form_coeff(1, 0, -1)
 
 
@@ -116,7 +108,8 @@ def test_fixpoint_matches_recurrence_oracle(window):
 
 def test_fixpoint_takes_f_squared_a_row_behind(monkeypatch):
     # step a forms row a-1 of f^2, so the last row of f^2, which the
-    # recurrence never reads, is never formed: 12 rows of 13 product cells
+    # recurrence never reads, is never formed: 12 rows of 13 product cells;
+    # f^1 is f itself, so the power kernel in series adds no product cell
     calls = []
     kernel = formulas._product_cell
 
@@ -125,9 +118,12 @@ def test_fixpoint_takes_f_squared_a_row_behind(monkeypatch):
         return kernel(x, y, a, b)
 
     monkeypatch.setattr(formulas, "_product_cell", recorder)
-    fixpoint_series(Rect(12, 12))
-    assert len(calls) == 156
-    assert max(calls) == (11, 12)
+    monkeypatch.setattr(series, "_product_cell", recorder)
+    for build in (fixpoint_series, lambda window: power_series(1, window)):
+        calls.clear()
+        build(Rect(12, 12))
+        assert len(calls) == 156
+        assert max(calls) == (11, 12)
 
 
 def test_fixpoint_quadratic_residual_vanishes():

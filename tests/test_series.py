@@ -56,11 +56,6 @@ def test_from_table_index_out_of_rectangle():
         BiSeries.from_table(Rect(1, 1), {(2, 0): 1})
 
 
-def test_from_table_duplicate_index():
-    with pytest.raises(ValueError, match="duplicate"):
-        BiSeries.from_table(Rect(1, 1), [((0, 0), 1), ((0, 0), 2)])
-
-
 def test_add_sub_scale():
     rect = Rect(1, 1)
     one = BiSeries.one(rect)

@@ -1,8 +1,10 @@
-"""The contract of the library's value types, and what importing the CLI loads."""
+"""The library's value types, README's Library block, and what importing the CLI loads."""
 
 from __future__ import annotations
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,6 @@ from pathlib import Path
 import pytest
 
 import kirkman
-from kirkman.formulas import KirkmanIndex
 from kirkman.series import BiSeries, Rect
 from kirkman.verifier import CoeffReport, Counterexample, VerifyReport
 
@@ -18,12 +19,11 @@ from kirkman.verifier import CoeffReport, Counterexample, VerifyReport
 VALUES = {
     "Rect": (lambda: Rect(1, 2), "max_a"),
     "BiSeries": (lambda: BiSeries.from_table(Rect(1, 2), {(0, 0): 1, (1, 2): 3}), "coeff"),
-    "KirkmanIndex": (lambda: KirkmanIndex(2, 1, 0), "m"),
     "Counterexample": (lambda: Counterexample(1, 2, 3, 4, 5, 6), "lhs"),
     "VerifyReport": (lambda: VerifyReport("r=1 s=1", 3, "pass"), "status"),
     "CoeffReport": (lambda: CoeffReport(1, 1, {"closed": 5, "series": 5}), "values"),
 }
-HASHABLE = (Rect, BiSeries, KirkmanIndex, Counterexample)
+HASHABLE = (Rect, BiSeries, Counterexample)
 
 
 @pytest.mark.parametrize("make, field", VALUES.values(), ids=VALUES)
@@ -41,7 +41,21 @@ def test_unequal_fields_give_unequal_values():
     assert Rect(1, 2) != Rect(2, 1)
     assert BiSeries.zero(Rect(1, 2)) != BiSeries.one(Rect(1, 2))
     assert BiSeries.zero(Rect(1, 2)) != BiSeries.zero(Rect(2, 1))
-    assert KirkmanIndex(2, 1, 0) != KirkmanIndex(2, 0, 1)
+
+
+def test_readme_library_block_values():
+    # each call in README's Library block returns the value its comment shows
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## Library\n\n```python\n(.*?)```", readme, re.MULTILINE | re.DOTALL)
+    setup, *calls = [line for line in block[1].splitlines() if line]
+    namespace: dict = {}
+    exec(setup, namespace)
+    shown = []
+    for call in calls:
+        expression, comment = call.split("#")
+        shown.append(ast.literal_eval(comment.strip()))
+        assert eval(expression, namespace) == shown[-1], call
+    assert shown == ["pass", 14, 14]
 
 
 def test_series_repr_and_no_scalar_arithmetic():

@@ -51,9 +51,19 @@ def test_closed_table_catalan_column_to_2000():
     assert [column[m, 0] for m in range(2001)] == [catalan(m + 1) for m in range(2001)]
 
 
-def test_closed_table_rejects_power_zero():
-    with pytest.raises(ValueError, match="power must be >= 1"):
-        closed_table(0, Rect(2, 2))
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda p: closed_table(p, Rect(2, 2)),
+        lambda p: power_series(p, Rect(2, 2)),
+        lambda p: lagrange_table(p, Rect(2, 2)),
+        lambda p: closed_form_coeff(p, 1, 1),
+    ],
+    ids=["closed_table", "power_series", "lagrange_table", "closed_form_coeff"],
+)
+def test_every_builder_rejects_power_zero(build):
+    with pytest.raises(ValueError, match=r"^power must be >= 1, got 0$"):
+        build(0)
 
 
 def test_closed_table_asserts_integrality_at_every_step(monkeypatch):
