@@ -1,17 +1,33 @@
-"""Brute-force oracles and checking helpers for the test suite.
+"""Brute-force oracles, checking helpers and the shared test doubles.
 
 The value oracles (``naive_mul``, ``quadratic_table``, ``catalan``) are
 deliberately independent of the package: sparse dict arithmetic and a
 cell-by-cell recurrence, so agreement with the library is a genuine
 cross-check and not a tautology.
+
+Every test double of the suite is defined here once:
+
+- ``record_calls`` spies on a function or method and returns the list of
+  its calls;
+- ``corrupted_closed_table`` is the closed route with c_2(1, 0) one too
+  large.  It calls the ``closed_table`` bound when this module is imported:
+  the tests patch ``kirkman.verifier.closed_table`` with it, so a lookup at
+  call time would find the patched binding and recurse;
+- ``corrupt_route`` shifts a route's table as the verifier sees it;
+- ``cli_env`` is the environment of a CLI run in a subprocess.
 """
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
+import kirkman
+from kirkman import verifier
 from kirkman.series import BiSeries, Rect, poly
+from kirkman.verifier import closed_table
 
 
 def naive_mul(x: dict, y: dict, max_a: int, max_b: int) -> dict:
@@ -22,13 +38,6 @@ def naive_mul(x: dict, y: dict, max_a: int, max_b: int) -> dict:
             a, b = a1 + a2, b1 + b2
             if a <= max_a and b <= max_b:
                 out[a, b] = out.get((a, b), 0) + c1 * c2
-    return out
-
-
-def naive_pow(x: dict, k: int, max_a: int, max_b: int) -> dict:
-    out = {(0, 0): 1}
-    for _ in range(k):
-        out = naive_mul(out, x, max_a, max_b)
     return out
 
 
@@ -72,13 +81,6 @@ def catalan(k: int) -> int:
     return comb(2 * k, k) // (k + 1)
 
 
-def as_table(series: BiSeries) -> dict:
-    """Nonzero cells of a BiSeries as a plain dict, for oracle comparison."""
-    return {
-        (a, b): series[a, b] for a, b in series.rect.cells() if series[a, b] != 0
-    }
-
-
 def quadratic_residual(f: BiSeries) -> BiSeries:
     """z(z+w) f^2 + (2z+w-1) f + 1 on f's own window."""
     window = f.rect
@@ -96,3 +98,44 @@ def random_series(rng, rect: Rect, constant=None) -> BiSeries:
     if constant is not None:
         entries[0, 0] = Fraction(constant)
     return BiSeries.from_table(rect, entries)
+
+
+def record_calls(monkeypatch, name: str, *owners) -> list:
+    """Patch ``name`` on each owner to record its calls and run the original.
+
+    Returns one list for all owners, with the positional arguments of each
+    call as a tuple (``self`` first for a method patched on its class).
+    """
+    calls: list = []
+    for owner in owners:
+
+        def recorder(*args, _original=getattr(owner, name)):
+            calls.append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, recorder)
+    return calls
+
+
+def corrupted_closed_table(p: int, window: Rect) -> BiSeries:
+    """The closed route as the verifier sees it, with c_2(1, 0) one too large."""
+    table = closed_table(p, window)
+    if p == 2 and window.contains(1, 0):
+        return table + BiSeries.from_table(window, {(1, 0): 1})
+    return table
+
+
+def corrupt_route(monkeypatch, route: str, delta) -> None:
+    """Shift every cell of the table ``verifier.<route>`` returns by ``delta``."""
+    original = getattr(verifier, route)
+
+    def corrupted(*args):
+        table = original(*args)
+        return table + BiSeries.from_table(table.rect, dict.fromkeys(table.rect.cells(), delta))
+
+    monkeypatch.setattr(verifier, route, corrupted)
+
+
+def cli_env() -> dict:
+    """This process's environment, with the kirkman under test on PYTHONPATH."""
+    return {**os.environ, "PYTHONPATH": str(Path(kirkman.__file__).parents[1])}

@@ -12,14 +12,14 @@ import json
 import random
 import time
 from fractions import Fraction
+from math import comb
 
 import kirkman.verifier as verifier_module
 from kirkman.cli import main
-from kirkman.formulas import binomial, closed_form_coeff, fixpoint_series, power_series, radical_series
-from kirkman.lagrange import lagrange_table
+from kirkman.formulas import closed_form_coeff, fixpoint_series, power_series, radical_series
 from kirkman.series import BiSeries, Rect, poly
 
-from oracles import catalan, quadratic_residual, random_series
+from oracles import catalan, corrupt_route, corrupted_closed_table, quadratic_residual, random_series
 
 
 def criterion(number: int, label: str):
@@ -128,7 +128,7 @@ def test_criterion_7_boundary_rows():
     for p in range(1, 6):
         row = power_series(p, Rect(0, 20))
         for n in range(21):
-            expected = binomial(n + p - 1, n)
+            expected = comb(n + p - 1, n)
             assert row[0, n] == expected
             assert closed_form_coeff(p, 0, n) == expected
     return None
@@ -192,16 +192,7 @@ def test_criterion_9_property_suite():
 
 @criterion(10, "corrupted coefficient drives verify and crosscheck to exit 1")
 def test_criterion_10_mutation(monkeypatch, capsys):
-    true_closed = verifier_module.closed_table
-
-    def corrupted(p, window):
-        # c_2(1, 0) one too large
-        table = true_closed(p, window)
-        if p == 2 and window.contains(1, 0):
-            return table + BiSeries.from_table(window, {(1, 0): 1})
-        return table
-
-    monkeypatch.setattr(verifier_module, "closed_table", corrupted)
+    monkeypatch.setattr(verifier_module, "closed_table", corrupted_closed_table)
 
     code = main(["verify", "--r", "1", "--s", "1", "--max-M", "3", "--max-N", "3",
                  "--format", "json-lines"])
@@ -210,11 +201,7 @@ def test_criterion_10_mutation(monkeypatch, capsys):
     last = json.loads(out.splitlines()[-1])
     assert last == {"M": 1, "N": 0, "lhs": 4, "rhs": 5, "status": "fail"}
 
-    monkeypatch.setattr(
-        verifier_module,
-        "lagrange_table",
-        lambda p, window: lagrange_table(p, window) + BiSeries.from_table(window, {(0, 0): 7}),
-    )
+    corrupt_route(monkeypatch, "lagrange_table", 7)
     code = main(["crosscheck", "--p", "1", "--max-m", "1", "--max-n", "1"])
     out = capsys.readouterr().out
     assert code == 1
@@ -222,15 +209,9 @@ def test_criterion_10_mutation(monkeypatch, capsys):
     for route in ("closed=", "series=", "lagrange=", "radical="):
         assert route in out
 
-    def seven(window):
-        return BiSeries.from_table(window, {(0, 0): 7})
-
-    for name, corrupted_route, shown in (
-        ("power_series", lambda p, window: power_series(p, window) + seven(window), "series=8"),
-        ("radical_series", lambda window: radical_series(window) + seven(window), "radical=8"),
-    ):
+    for route, shown in (("power_series", "series=8"), ("radical_series", "radical=8")):
         monkeypatch.undo()
-        monkeypatch.setattr(verifier_module, name, corrupted_route)
+        corrupt_route(monkeypatch, route, 7)
         code = main(["crosscheck", "--p", "1", "--max-m", "1", "--max-n", "1"])
         out = capsys.readouterr().out
         assert code == 1

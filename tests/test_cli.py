@@ -18,12 +18,11 @@ from pathlib import Path
 
 import pytest
 
-import kirkman
 import kirkman.cli as cli_module
 import kirkman.verifier as verifier_module
 from kirkman.cli import main
-from kirkman.series import BiSeries
-from kirkman.verifier import closed_table
+
+from oracles import cli_env, corrupt_route, corrupted_closed_table, record_calls
 
 
 def run(argv, capsys):
@@ -76,12 +75,11 @@ def test_coeff_prints_past_the_int_str_limit():
     # Catalan(8001) has 4,812 digits, past CPython's default limit of 4,300 on
     # int-to-str conversion; a subprocess leaves this process's limit alone
     expected = str(Decimal(math.comb(16002, 8001) // 8002))  # Decimal has no such limit
-    env = {**os.environ, "PYTHONPATH": str(Path(kirkman.__file__).parents[1])}
     argv = ["coeff", "--p", "1", "--m", "8000", "--n", "0", "--format"]
     for fmt in ("pretty", "json-lines"):
         proc = subprocess.run(
             [sys.executable, "-m", "kirkman.cli", *argv, fmt],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, env=cli_env(), timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
         out = proc.stdout.rstrip("\n")
@@ -281,17 +279,12 @@ def test_verify_csv_rows(capsys):
 
 def test_verify_csv_is_written_in_blocks(monkeypatch):
     # 2,401 rows and a header in at most three writes of about 64 KiB each
-    class Recorder(io.StringIO):
-        def write(self, text):
-            writes.append(len(text))
-            return super().write(text)
-
-    writes = []
-    monkeypatch.setattr(sys, "stdout", Recorder())
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    writes = record_calls(monkeypatch, "write", sys.stdout)
     argv = ["verify", "--r", "2", "--s", "3", "--max-M", "48", "--max-N", "48", "--format", "csv"]
     assert main(argv) == 0
     assert len(writes) <= 3
-    assert sum(writes) == len(sys.stdout.getvalue()) == 180_046
+    assert sum(len(text) for text, in writes) == len(sys.stdout.getvalue()) == 180_046
 
 
 def test_lines_rendered_before_an_exception_reach_stdout(capsys):
@@ -383,16 +376,8 @@ def test_crosscheck_json_lines(capsys):
 # ---- corrupted-coefficient paths ----
 
 
-def _corrupted_closed_table(p, window):
-    # the closed route as the verifier sees it, with c_2(1, 0) one too large
-    table = closed_table(p, window)
-    if p == 2 and window.contains(1, 0):
-        return table + BiSeries.from_table(window, {(1, 0): 1})
-    return table
-
-
 def test_verify_exits_1_on_counterexample(monkeypatch, capsys):
-    monkeypatch.setattr(verifier_module, "closed_table", _corrupted_closed_table)
+    monkeypatch.setattr(verifier_module, "closed_table", corrupted_closed_table)
     code, out, _ = run(["verify", "--r", "1", "--s", "1", "--max-M", "2", "--max-N", "2"], capsys)
     assert code == 1
     assert out.startswith("FAIL")
@@ -401,7 +386,7 @@ def test_verify_exits_1_on_counterexample(monkeypatch, capsys):
 
 
 def test_verify_counterexample_record_is_well_formed(monkeypatch, capsys):
-    monkeypatch.setattr(verifier_module, "closed_table", _corrupted_closed_table)
+    monkeypatch.setattr(verifier_module, "closed_table", corrupted_closed_table)
     code, out, _ = run(
         ["verify", "--r", "1", "--s", "1", "--max-M", "2", "--max-N", "2",
          "--format", "json-lines"],
@@ -414,26 +399,13 @@ def test_verify_counterexample_record_is_well_formed(monkeypatch, capsys):
 
 
 def test_verify_csv_prints_every_row_up_to_the_counterexample(monkeypatch, capsys):
-    monkeypatch.setattr(verifier_module, "closed_table", _corrupted_closed_table)
+    monkeypatch.setattr(verifier_module, "closed_table", corrupted_closed_table)
     code, out, _ = run(
         ["verify", "--r", "1", "--s", "1", "--max-M", "2", "--max-N", "2", "--format", "csv"],
         capsys,
     )
     assert code == 1
     assert out == "M,N,lhs,rhs,status\n0,0,1,1,ok\n0,1,2,2,ok\n0,2,3,3,ok\n1,0,4,5,fail\n"
-
-
-def _corrupt_route(monkeypatch, route, delta):
-    """Shift a route as the verifier sees it: a table at (0, 0), a per-cell route everywhere."""
-    original = getattr(verifier_module, route)
-
-    def corrupted(*args):
-        value = original(*args)
-        if isinstance(value, BiSeries):
-            return value + BiSeries.from_table(value.rect, {(0, 0): delta})
-        return value + delta
-
-    monkeypatch.setattr(verifier_module, route, corrupted)
 
 
 @pytest.mark.parametrize(
@@ -447,7 +419,7 @@ def _corrupt_route(monkeypatch, route, delta):
     ids=["lagrange", "power_series", "radical_series", "closed_table"],
 )
 def test_crosscheck_exits_1_naming_routes(monkeypatch, capsys, route, name):
-    _corrupt_route(monkeypatch, route, 7)
+    corrupt_route(monkeypatch, route, 7)
     code, out, _ = run(["crosscheck", "--p", "1", "--max-m", "1", "--max-n", "1"], capsys)
     assert code == 1
     assert out.startswith("FAIL")
@@ -456,7 +428,7 @@ def test_crosscheck_exits_1_naming_routes(monkeypatch, capsys, route, name):
 
 
 def test_crosscheck_json_lines_renders_non_integer_as_fraction(monkeypatch, capsys):
-    _corrupt_route(monkeypatch, "power_series", Fraction(-1, 2))
+    corrupt_route(monkeypatch, "power_series", Fraction(-1, 2))
     code, out, _ = run(
         ["crosscheck", "--p", "1", "--max-m", "1", "--max-n", "1", "--format", "json-lines"],
         capsys,
@@ -475,13 +447,12 @@ def test_closed_pipe_ends_quietly():
     # 184 KB of output, more than a pipe buffer holds, so the command is still
     # writing when the reader closes its end; it must neither print a traceback
     # nor exit with a code that means success, disagreement or a usage error
-    env = {**os.environ, "PYTHONPATH": str(Path(kirkman.__file__).parents[1])}
     argv = ["expand", "--p", "1", "--max-m", "60", "--max-n", "60"]
     with subprocess.Popen(
         [sys.executable, "-m", "kirkman.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=cli_env(),
     ) as proc:
         assert proc.stdout.readline() == b"[z^0 w^0] 1\n"
         proc.stdout.close()
@@ -495,7 +466,7 @@ def test_closed_pipe_ends_quietly_when_the_output_is_still_buffered():
     # a short output is still in stdout's buffer when main returns, and the
     # reader is already gone: flushing it must end the command by SIGPIPE,
     # not by a BrokenPipeError at exit (status 120)
-    env = {**os.environ, "PYTHONPATH": str(Path(kirkman.__file__).parents[1])}
+    env = cli_env()
     env.pop("PYTHONUNBUFFERED", None)
     read, write = os.pipe()
     os.close(read)

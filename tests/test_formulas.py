@@ -6,6 +6,7 @@ import ast
 import inspect
 import sys
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ from kirkman.formulas import (
 from kirkman.series import BiSeries, Rect
 from kirkman.verifier import closed_table
 
-from oracles import catalan, naive_mul, quadratic_residual, quadratic_table
+from oracles import catalan, naive_mul, quadratic_residual, quadratic_table, record_calls
 
 
 def test_binomial_values():
@@ -110,20 +111,12 @@ def test_fixpoint_takes_f_squared_a_row_behind(monkeypatch):
     # step a forms row a-1 of f^2, so the last row of f^2, which the
     # recurrence never reads, is never formed: 12 rows of 13 product cells;
     # f^1 is f itself, so the power kernel in series adds no product cell
-    calls = []
-    kernel = formulas._product_cell
-
-    def recorder(x, y, a, b):
-        calls.append((a, b))
-        return kernel(x, y, a, b)
-
-    monkeypatch.setattr(formulas, "_product_cell", recorder)
-    monkeypatch.setattr(series, "_product_cell", recorder)
+    calls = record_calls(monkeypatch, "_product_cell", formulas, series)
     for build in (fixpoint_series, lambda window: power_series(1, window)):
         calls.clear()
         build(Rect(12, 12))
         assert len(calls) == 156
-        assert max(calls) == (11, 12)
+        assert max((a, b) for _, _, a, b in calls) == (11, 12)
 
 
 def test_fixpoint_quadratic_residual_vanishes():
@@ -201,7 +194,7 @@ def test_closed_form_equals_series_tables():
 def test_boundary_rows():
     for p in range(1, 6):
         for n in range(13):
-            assert closed_form_coeff(p, 0, n) == binomial(n + p - 1, n)
+            assert closed_form_coeff(p, 0, n) == comb(n + p - 1, n)
     for m in range(13):
         assert closed_form_coeff(1, m, 0) == catalan(m + 1)
 
@@ -251,32 +244,26 @@ def test_series_routes_never_reach_the_closed_form():
     assert not _names(lagrange) & {"_power", "poly", "reciprocal", "restrict"}
 
 
-def _count_calls(monkeypatch, *names):
-    # calls of BiSeries methods, the ones made inside another counted too
-    counts = dict.fromkeys(names, 0)
-    for name in names:
-
-        def counted(self, other, _name=name, _method=getattr(BiSeries, name)):
-            counts[_name] += 1
-            return _method(self, other)
-
-        monkeypatch.setattr(BiSeries, name, counted)
-    return counts
-
-
 def test_lagrange_route_takes_no_series_power(monkeypatch):
     # phi^(m+p) comes from the running power's step, which multiplies by
     # phi's numerator and divides by its denominator in additions
-    counts = _count_calls(monkeypatch, "__mul__", "__pow__")
+    products = record_calls(monkeypatch, "__mul__", BiSeries)
+    powers = record_calls(monkeypatch, "__pow__", BiSeries)
     lagrange.lagrange_table(5, Rect(12, 12))
-    assert counts["__mul__"] == 0 and counts["__pow__"] == 0, counts
+    assert products == [] and powers == []
+    # the spies see a series power and the products inside it
+    BiSeries.one(Rect(1, 1)) ** 2
+    assert products and powers
 
 
 def test_series_route_takes_no_series_power(monkeypatch):
     # f^p comes from the row recurrence of series._power
-    counts = _count_calls(monkeypatch, "__mul__", "__pow__")
+    powers = record_calls(monkeypatch, "__pow__", BiSeries)
     power_series(5, Rect(12, 12))
-    assert counts["__pow__"] == 0, counts
+    assert powers == []
+    # the spy sees a series power
+    BiSeries.one(Rect(1, 1)) ** 2
+    assert powers
 
 
 @pytest.mark.parametrize("p", [1, 6])

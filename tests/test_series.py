@@ -13,7 +13,7 @@ from kirkman.formulas import fixpoint_series, power_series, radical_series
 from kirkman.series import BiSeries, Rect, _kronecker_product, _power, poly
 from kirkman.verifier import closed_table, convolution_lhs
 
-from oracles import naive_mul, random_series
+from oracles import naive_mul, random_series, record_calls
 
 # [z^m w^n] of the base series on the (1,1) window, frozen from the
 # quadratic-recurrence oracle.
@@ -273,16 +273,9 @@ def test_mul_left_factor_with_zero_tail_rows(max_den):
 def test_radical_sqrt_reads_two_operand_rows(monkeypatch):
     # the radicand (1-w)^2 - 4z has degree 1 in z, so every product cell of
     # its square root reads at most 2 rows of the left table
-    calls = []
-    kernel = series_module._product_cell
-
-    def recorder(x, y, a, b):
-        calls.append(len(x))
-        return kernel(x, y, a, b)
-
-    monkeypatch.setattr(series_module, "_product_cell", recorder)
+    calls = record_calls(monkeypatch, "_product_cell", series_module)
     radical_series(Rect(24, 24))
-    assert calls and max(calls) <= 2
+    assert calls and max(len(x) for x, *_ in calls) <= 2
 
 
 def test_div_z():

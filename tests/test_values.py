@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import ast
-import os
 import re
 import subprocess
 import sys
@@ -11,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-import kirkman
 from kirkman.series import BiSeries, Rect
 from kirkman.verifier import CoeffReport, Counterexample, VerifyReport
+
+from oracles import cli_env
 
 # each type's constructor from fixed fields, and one field to assign to
 VALUES = {
@@ -71,9 +71,8 @@ def test_cli_import_loads_no_introspection_modules():
         "import sys; before = set(sys.modules); import kirkman.cli; "
         "print(' '.join(sorted(set(sys.modules) - before)))"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(kirkman.__file__).parents[1])}
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=cli_env(), capture_output=True, text=True, check=True
     ).stdout.split()
     assert "kirkman.cli" in out
     # json is imported only where json-lines output is rendered

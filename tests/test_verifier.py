@@ -23,7 +23,7 @@ from kirkman.verifier import (
     verify_generalized,
 )
 
-from oracles import catalan
+from oracles import catalan, corrupt_route, corrupted_closed_table, record_calls
 
 
 def test_identity_params_validation():
@@ -81,14 +81,7 @@ def test_closed_table_asserts_integrality_at_every_step(monkeypatch):
 
 
 def test_verify_takes_no_binomial(monkeypatch, capsys):
-    calls = []
-    comb = math.comb
-
-    def recorder(*args):
-        calls.append(args)
-        return comb(*args)
-
-    monkeypatch.setattr(math, "comb", recorder)
+    calls = record_calls(monkeypatch, "comb", math)
     assert main(["verify", "--r", "1", "--s", "1", "--max-M", "8", "--max-N", "8"]) == 0
     assert "81 cases" in capsys.readouterr().out
     assert calls == []
@@ -162,33 +155,23 @@ def test_verify_cayley_matches_generalized():
 def test_sweep_takes_no_product_cell(monkeypatch, capsys):
     # the left side is one packed product of the closed tables, not a
     # convolution sum per cell
-    calls = []
-    kernel = verifier_module._product_cell
-
-    def recorder(x, y, a, b):
-        calls.append((a, b))
-        return kernel(x, y, a, b)
-
-    monkeypatch.setattr(verifier_module, "_product_cell", recorder)
+    calls = record_calls(monkeypatch, "_product_cell", verifier_module)
     assert verify_generalized(2, 3, 24, 24).passed
     argv = ["verify", "--r", "2", "--s", "3", "--max-M", "24", "--max-N", "24", "--format", "csv"]
     assert main(argv) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 25 * 25
     assert calls == []
+    # the spy sees the one-cell reference's product cell
+    one = closed_table(1, Rect(1, 1))
+    assert convolution_lhs(one, one, 1, 1) == 14
+    assert calls
 
 
 def test_sweep_builds_one_table_per_distinct_power(monkeypatch):
     # Kirkman's r = s = 1 needs the tables of c_1 and c_2 only
-    powers = []
-    build = verifier_module.closed_table
-
-    def recorder(p, window):
-        powers.append(p)
-        return build(p, window)
-
-    monkeypatch.setattr(verifier_module, "closed_table", recorder)
+    calls = record_calls(monkeypatch, "closed_table", verifier_module)
     assert verify_generalized(1, 1, 6, 6).passed
-    assert sorted(powers) == [1, 2]
+    assert sorted(p for p, _ in calls) == [1, 2]
 
 
 def test_sweep_cells_order():
@@ -197,31 +180,23 @@ def test_sweep_cells_order():
 
 
 def test_sweep_cells_reads_the_tables_by_rows(monkeypatch):
-    calls = []
-    getitem = BiSeries.__getitem__
-
-    def recording(self, index):
-        calls.append(index)
-        return getitem(self, index)
-
-    monkeypatch.setattr(BiSeries, "__getitem__", recording)
+    calls = record_calls(monkeypatch, "__getitem__", BiSeries)
     list(sweep_cells(2, 3, 8, 8))
     assert calls == []
+    # the spy sees a read by cell
+    assert BiSeries.one(Rect(0, 0))[0, 0] == 1
+    assert calls
 
 
 @pytest.mark.parametrize("p, size", [(5, 12), (1, 6)])
 def test_cross_check_methods_reads_the_tables_by_rows(monkeypatch, p, size):
-    calls = []
-    getitem = BiSeries.__getitem__
-
-    def recording(self, index):
-        calls.append(index)
-        return getitem(self, index)
-
-    monkeypatch.setattr(BiSeries, "__getitem__", recording)
+    calls = record_calls(monkeypatch, "__getitem__", BiSeries)
     reports = cross_check_methods(p, size, size)
     assert len(reports) == (size + 1) ** 2
     assert calls == []
+    # the spy sees a read by cell
+    assert BiSeries.one(Rect(0, 0))[0, 0] == 1
+    assert calls
 
 
 def test_report_invariant_enforced():
@@ -258,17 +233,9 @@ def test_cross_check_catalan_row():
         assert r.values["radical"] == r.values["closed"]
 
 
-def _corrupted_closed_table(p, window):
-    # the closed route as the verifier sees it, with c_2(1, 0) one too large
-    table = closed_table(p, window)
-    if p == 2 and window.contains(1, 0):
-        return table + BiSeries.from_table(window, {(1, 0): 1})
-    return table
-
-
 def test_verify_reports_first_counterexample(monkeypatch):
     # corrupt the rhs coefficient at (p, M, N) = (2, 1, 0)
-    monkeypatch.setattr(verifier_module, "closed_table", _corrupted_closed_table)
+    monkeypatch.setattr(verifier_module, "closed_table", corrupted_closed_table)
     report = verify_generalized(1, 1, 2, 2)
     assert not report.passed
     assert report.status == "fail"
@@ -280,7 +247,7 @@ def test_verify_reports_first_counterexample(monkeypatch):
 
 
 def test_sweep_cells_stops_at_the_reported_counterexample(monkeypatch):
-    monkeypatch.setattr(verifier_module, "closed_table", _corrupted_closed_table)
+    monkeypatch.setattr(verifier_module, "closed_table", corrupted_closed_table)
     cells = list(sweep_cells(1, 1, 2, 2))
     c = verify_generalized(1, 1, 2, 2).first_counterexample
     assert cells[-1] == (c.M, c.N, c.lhs, c.rhs) == (1, 0, 4, 5)
@@ -288,12 +255,7 @@ def test_sweep_cells_stops_at_the_reported_counterexample(monkeypatch):
 
 
 def test_cross_check_detects_route_disagreement(monkeypatch):
-    monkeypatch.setattr(
-        verifier_module,
-        "lagrange_table",
-        lambda p, window: lagrange_table(p, window)
-        + BiSeries.from_table(window, {cell: 7 for cell in window.cells()}),
-    )
+    corrupt_route(monkeypatch, "lagrange_table", 7)
     reports = cross_check_methods(1, 1, 1)
     assert all(not r.agree for r in reports)
     assert reports[0].values["closed"] == reports[0].values["series"] == 1
