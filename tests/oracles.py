@@ -13,7 +13,8 @@ Every test double of the suite is defined here once:
   large.  It calls the ``closed_table`` bound when this module is imported:
   the tests patch ``kirkman.verifier.closed_table`` with it, so a lookup at
   call time would find the patched binding and recurse;
-- ``corrupt_route`` shifts a route's table as the verifier sees it;
+- ``corrupt_route`` shifts cell (0, 0) of a route's table as the verifier
+  sees it;
 - ``cli_env`` is the environment of a CLI run in a subprocess.
 """
 
@@ -126,12 +127,12 @@ def corrupted_closed_table(p: int, window: Rect) -> BiSeries:
 
 
 def corrupt_route(monkeypatch, route: str, delta) -> None:
-    """Shift every cell of the table ``verifier.<route>`` returns by ``delta``."""
+    """Shift cell (0, 0) of the table ``verifier.<route>`` returns by ``delta``."""
     original = getattr(verifier, route)
 
     def corrupted(*args):
         table = original(*args)
-        return table + BiSeries.from_table(table.rect, dict.fromkeys(table.rect.cells(), delta))
+        return table + BiSeries.from_table(table.rect, {(0, 0): delta})
 
     monkeypatch.setattr(verifier, route, corrupted)
 
