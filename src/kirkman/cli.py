@@ -54,7 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     coeff.add_argument("--p", type=_int_at_least(1), required=True)
     coeff.add_argument("--m", type=_int_at_least(0), required=True)
     coeff.add_argument("--n", type=_int_at_least(0), required=True)
-    coeff.add_argument("--format", choices=FORMATS, default="pretty")
     coeff.set_defaults(handler=_cmd_coeff)
 
     expand = sub.add_parser("expand", help="full coefficient table over a rectangle")
@@ -62,24 +61,30 @@ def build_parser() -> argparse.ArgumentParser:
     expand.add_argument("--max-m", type=_int_at_least(0), required=True)
     expand.add_argument("--max-n", type=_int_at_least(0), required=True)
     expand.add_argument("--method", choices=verifier.ROUTES, default="closed")
-    expand.add_argument("--format", choices=FORMATS, default="pretty")
     expand.set_defaults(handler=_cmd_expand)
 
     verify = sub.add_parser("verify", help="sweep the convolution identity")
     verify.add_argument("--r", type=_int_at_least(1), required=True)
     verify.add_argument("--s", type=_int_at_least(1), required=True)
     verify.add_argument("--max-M", type=_int_at_least(0), required=True)
-    verify.add_argument("--max-N", type=_int_at_least(0), default=None)
-    verify.add_argument("--cayley", action="store_true", help="restrict to N = 0")
-    verify.add_argument("--format", choices=FORMATS, default="pretty")
+    bound_N = verify.add_mutually_exclusive_group(required=True)
+    bound_N.add_argument("--max-N", type=_int_at_least(0))
+    bound_N.add_argument(
+        "--cayley", action="store_const", const=0, dest="max_N",
+        help="Cayley's case: the same as --max-N 0",
+    )
     verify.set_defaults(handler=_cmd_verify)
 
     crosscheck = sub.add_parser("crosscheck", help="compare all routes cellwise")
     crosscheck.add_argument("--p", type=_int_at_least(1), required=True)
     crosscheck.add_argument("--max-m", type=_int_at_least(0), required=True)
     crosscheck.add_argument("--max-n", type=_int_at_least(0), required=True)
-    crosscheck.add_argument("--format", choices=FORMATS, default="pretty")
     crosscheck.set_defaults(handler=_cmd_crosscheck)
+
+    for command in sub.choices.values():
+        command.add_argument("--format", choices=FORMATS, default="pretty")
+        # a handler's usage error names its subcommand, as argparse's own errors do
+        command.set_defaults(parser=command)
 
     return parser
 
@@ -98,14 +103,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             pass  # not the main thread of the main interpreter: SIGPIPE stays as it is
     limit = None
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if hasattr(sys, "set_int_max_str_digits"):
             # print every coefficient in full; the default 4,300-digit limit on
             # int-to-str conversion would end a large one in a traceback with exit 1
             limit = sys.get_int_max_str_digits()
             sys.set_int_max_str_digits(0)
-        return args.handler(args, parser)
+        return args.handler(args)
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
@@ -155,7 +159,7 @@ def _emit_rows(fmt: str, header: Sequence[str], rows: Iterable[Sequence[object]]
 # ---- subcommands ----
 
 
-def _cmd_coeff(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_coeff(args: argparse.Namespace) -> int:
     value = formulas.closed_form_coeff(args.p, args.m, args.n)
     if args.format == "pretty":
         print(value)
@@ -164,10 +168,10 @@ def _cmd_coeff(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return EXIT_OK
 
 
-def _cmd_expand(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_expand(args: argparse.Namespace) -> int:
     table = verifier.ROUTES[args.method](args.p, Rect(args.max_m, args.max_n))
     if table is None:
-        parser.error(f"--method {args.method} is only defined for --p 1")
+        args.parser.error(f"--method {args.method} is only defined for --p 1")
     cells = ((m, n, v) for m, row in enumerate(table.coeff) for n, v in enumerate(row))
     if args.format == "pretty":
         _write_lines(f"[z^{m} w^{n}] {v}" for m, n, v in cells)
@@ -176,18 +180,9 @@ def _cmd_expand(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.cayley:
-        if args.max_N not in (None, 0):
-            parser.error("--cayley fixes --max-N to 0")
-        max_N = 0
-    elif args.max_N is None:
-        parser.error("--max-N is required unless --cayley is given")
-    else:
-        max_N = args.max_N
-
+def _cmd_verify(args: argparse.Namespace) -> int:
     if args.format == "pretty":
-        report = verifier.verify_generalized(args.r, args.s, args.max_M, max_N)
+        report = verifier.verify_generalized(args.r, args.s, args.max_M, args.max_N)
         if report.passed:
             print(f"PASS {report.params_range}: {report.checked_count} cases, identity holds")
         else:
@@ -203,7 +198,7 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     def rows():
         # the sweep stops after its first failing row
         nonlocal status
-        for M, N, lhs, rhs in verifier.sweep_cells(args.r, args.s, args.max_M, max_N):
+        for M, N, lhs, rhs in verifier.sweep_cells(args.r, args.s, args.max_M, args.max_N):
             status = "ok" if lhs == rhs else "fail"
             yield M, N, lhs, rhs, status
 
@@ -211,7 +206,7 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     return EXIT_OK if status == "ok" else EXIT_DISAGREEMENT
 
 
-def _cmd_crosscheck(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_crosscheck(args: argparse.Namespace) -> int:
     reports = verifier.cross_check_methods(args.p, args.max_m, args.max_n)
     all_agree = all(r.agree for r in reports)
 

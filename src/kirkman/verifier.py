@@ -36,27 +36,20 @@ class Counterexample(NamedTuple):
     rhs: int
 
 
-class _VerifyFields(NamedTuple):
+class VerifyReport(NamedTuple):
+    """Outcome of an identity sweep: it passed unless it found a counterexample."""
+
     params_range: str
     checked_count: int
-    status: str  # "pass" | "fail"
     first_counterexample: Optional[Counterexample] = None
-
-
-class VerifyReport(_VerifyFields):
-    """Outcome of an identity sweep."""
-
-    __slots__ = ()
-
-    def __new__(cls, *fields: object, **named: object) -> VerifyReport:
-        report = super().__new__(cls, *fields, **named)
-        if (report.status == "fail") != (report.first_counterexample is not None):
-            raise ValueError("status and counterexample are inconsistent")
-        return report
 
     @property
     def passed(self) -> bool:
-        return self.status == "pass"
+        return self.first_counterexample is None
+
+    @property
+    def status(self) -> str:
+        return "pass" if self.passed else "fail"
 
 
 class CoeffReport(NamedTuple):
@@ -136,8 +129,8 @@ def verify_generalized(r: int, s: int, max_M: int, max_N: int) -> VerifyReport:
     for checked, (M, N, lhs, rhs) in enumerate(sweep_cells(r, s, max_M, max_N), 1):
         pass
     if lhs != rhs:
-        return VerifyReport(params_range, checked, "fail", Counterexample(r, s, M, N, lhs, rhs))
-    return VerifyReport(params_range, checked, "pass")
+        return VerifyReport(params_range, checked, Counterexample(r, s, M, N, lhs, rhs))
+    return VerifyReport(params_range, checked)
 
 
 def verify_cayley(max_M: int) -> VerifyReport:

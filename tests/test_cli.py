@@ -212,7 +212,9 @@ def test_expand_radical_rejected_for_higher_powers(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["expand", "--p", "2", "--max-m", "1", "--max-n", "1", "--method", "radical"])
     assert exc.value.code == 2
-    assert "radical" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: kirkman expand")
+    assert "radical" in err
 
 
 @pytest.mark.parametrize("method", verifier_module.ROUTES)
@@ -316,12 +318,37 @@ def test_verify_requires_max_N_without_cayley(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--r", "1", "--s", "1", "--max-M", "5"])
     assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: kirkman verify")
 
 
 def test_verify_cayley_conflicts_with_max_N(capsys):
+    # --cayley is --max-N 0, so even --max-N 0 may not be given beside it
+    for bound in (["--cayley", "--max-N", "3"], ["--cayley", "--max-N", "0"],
+                  ["--max-N", "0", "--cayley"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--r", "1", "--s", "1", "--max-M", "5", *bound])
+        assert exc.value.code == 2, bound
+        assert capsys.readouterr().err.startswith("usage: kirkman verify"), bound
+
+
+def test_verify_cayley_is_max_N_0(capsys):
+    base = ["verify", "--r", "1", "--s", "1", "--max-M", "30", "--format"]
+    for fmt in cli_module.FORMATS:
+        cayley = run([*base, fmt, "--cayley"], capsys)
+        assert cayley == run([*base, fmt, "--max-N", "0"], capsys), fmt
+        assert cayley[0] == 0 and cayley[1], fmt
+
+
+@pytest.mark.parametrize("command", ["coeff", "expand", "verify", "crosscheck"])
+def test_subcommand_help_exits_0(capsys, command):
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--r", "1", "--s", "1", "--cayley", "--max-M", "5", "--max-N", "3"])
-    assert exc.value.code == 2
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: kirkman {command}")
+    assert "--format {pretty,csv,json-lines}" in out
+    if command == "verify":
+        assert "(--max-N MAX_N | --cayley)" in out
 
 
 # ---- crosscheck ----

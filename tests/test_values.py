@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import copy
+import pickle
 import re
 import subprocess
 import sys
@@ -20,7 +22,7 @@ VALUES = {
     "Rect": (lambda: Rect(1, 2), "max_a"),
     "BiSeries": (lambda: BiSeries.from_table(Rect(1, 2), {(0, 0): 1, (1, 2): 3}), "coeff"),
     "Counterexample": (lambda: Counterexample(1, 2, 3, 4, 5, 6), "lhs"),
-    "VerifyReport": (lambda: VerifyReport("r=1 s=1", 3, "pass"), "status"),
+    "VerifyReport": (lambda: VerifyReport("r=1 s=1", 3), "checked_count"),
     "CoeffReport": (lambda: CoeffReport(1, 1, {"closed": 5, "series": 5}), "values"),
 }
 HASHABLE = (Rect, BiSeries, Counterexample)
@@ -35,6 +37,9 @@ def test_value_type_contract(make, field):
     with pytest.raises(AttributeError):
         setattr(value, field, getattr(same, field))
     assert value == same
+    # copy and pickle rebuild an equal value, even where assignment is refused
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value) and twin == value
 
 
 def test_unequal_fields_give_unequal_values():

@@ -199,11 +199,12 @@ def test_cross_check_methods_reads_the_tables_by_rows(monkeypatch, p, size):
     assert calls
 
 
-def test_report_invariant_enforced():
-    with pytest.raises(ValueError, match="inconsistent"):
-        VerifyReport("r=1 s=1", 1, "fail", None)
-    with pytest.raises(ValueError, match="inconsistent"):
-        VerifyReport("r=1 s=1", 1, "pass", Counterexample(1, 1, 0, 0, 1, 2))
+def test_report_verdict_follows_its_counterexample():
+    passed = VerifyReport("r=1 s=1", 1)
+    assert passed.passed and passed.status == "pass"
+    failed = VerifyReport("r=1 s=1", 1, Counterexample(1, 1, 0, 0, 1, 2))
+    assert not failed.passed and failed.status == "fail"
+    assert VerifyReport._fields == ("params_range", "checked_count", "first_counterexample")
 
 
 def test_cross_check_single_cell():
