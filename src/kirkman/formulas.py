@@ -17,9 +17,10 @@ and the geometric row ([z^0 w^n] f = 1).  This module provides:
   * ``power_series``      -- f^p by the row recurrence of ``series._power``
                              (f itself for p = 1).
 
-All routes agree cellwise; the verifier module sweeps that agreement.  The
-series routes share only the kernels of ``series``; none reads another
-route's table.
+All routes agree cellwise; the verifier module sweeps that agreement.  Every
+route that divides asserts each cell of its table integral.  The series
+routes share only the kernels of ``series``; none reads another route's
+table.
 """
 
 from __future__ import annotations
@@ -53,6 +54,14 @@ def closed_form_coeff(p: int, m: int, n: int) -> int:
     return _integral_quotient(numerator, m + p, p, m, n)
 
 
+def _integral_table(x: BiSeries, p: int) -> BiSeries:
+    # x as the table of f^p, each cell asserted to be an integer
+    for m, row in enumerate(x.coeff):
+        for n, value in enumerate(row):
+            _integral_quotient(value, 1, p, m, n)
+    return x
+
+
 def fixpoint_series(window: Rect) -> BiSeries:
     """f on ``window`` as the power-series root of the defining quadratic.
 
@@ -81,7 +90,7 @@ def fixpoint_series(window: Rect) -> BiSeries:
         square.append([_product_cell(f, f, a - 1, b) for b in range(width)])
         terms = zip(f[a - 1], square[a - 1], [0, *square[a][:-1]])
         f.append(list(accumulate(2 * up + two_up + diagonal for up, two_up, diagonal in terms)))
-    return BiSeries(window, tuple(tuple(row) for row in f))
+    return BiSeries(f)
 
 
 def radical_series(window: Rect) -> BiSeries:
@@ -98,11 +107,11 @@ def radical_series(window: Rect) -> BiSeries:
     root = radicand.sqrt()
     numerator = poly(padded, {(0, 0): 1, (0, 1): -1, (1, 0): -2}) - root
     halved = numerator.div_z().scale(Fraction(1, 2))
-    return halved.div_z_plus_w(window)
+    return _integral_table(halved.div_z_plus_w(window), 1)
 
 
 def power_series(p: int, window: Rect) -> BiSeries:
     """f^p on ``window``; cell (m, n) equals closed_form_coeff(p, m, n)."""
     _check_power(p)
     f = fixpoint_series(window)
-    return f if p == 1 else _power(f, p, 1, 1)
+    return f if p == 1 else _integral_table(_power(f, p, 1, 1), p)

@@ -38,7 +38,7 @@ def _times_phi(g: tuple[tuple[Scalar, ...], ...]) -> tuple[tuple[Scalar, ...], .
 
 def build_phi(window: Rect) -> BiSeries:
     """phi = (1+y)^2 / (1 - w(1+y)) truncated to ``window``, read as (y, w)."""
-    return BiSeries(window, _times_phi(BiSeries.one(window).coeff))
+    return BiSeries(_times_phi(BiSeries.one(window).coeff))
 
 
 def lagrange_table(p: int, window: Rect) -> BiSeries:
@@ -50,7 +50,7 @@ def lagrange_table(p: int, window: Rect) -> BiSeries:
         if m >= 0:
             cells = enumerate(power[m])
             rows.append(tuple(_integral_quotient(p * v, m + p, p, m, n) for n, v in cells))
-    return BiSeries(window, tuple(rows))
+    return BiSeries(rows)
 
 
 def lagrange_coeff(p: int, m: int, n: int) -> int:

@@ -1,11 +1,11 @@
 """Exact truncated bivariate formal power series over the rationals.
 
-A series is stored as a dense table of exact coefficients on a rectangular
-window (independent degree caps for the two variables).  The window is
-closed under all operations here: coefficient (a, b) of a product only reads
-inputs at indices (i, j) with i <= a and j <= b, so arithmetic on the window
-is exact for the represented terms.  Variables are positional; the same type
-serves series in (z, w) and in (y, w).
+A series is a dense table of exact coefficients built from its rows, whose
+shape is its window: a rectangle of independent degree caps for the two
+variables.  The window is closed under all operations here: cell (a, b) of a
+product only reads inputs at indices (i, j) with i <= a and j <= b, so
+arithmetic on the window is exact for the represented terms.  Variables are
+positional; the same type serves series in (z, w) and in (y, w).
 
 Cells are ``int`` or ``Fraction``.  Every division (construction, which
 divides by 1, ``scale`` and the powers) goes through one divider,
@@ -44,8 +44,9 @@ identity sweep uses it.  The recurrences keep ``_product_cell``: each of
 their cells needs cells of the result filled before it, so they take their
 products one cell at a time.
 
-Values are immutable after construction and every operation is a pure
-function, so instances may be shared freely between threads.
+The constructor freezes the rows it is given, so a value is immutable once
+built, and every operation is a pure function: instances may be shared
+freely between threads.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, InvalidOperat
 from fractions import Fraction
 from itertools import accumulate
 from operator import add, mul, sub
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -143,7 +144,7 @@ def _power(x: BiSeries, num: int, den: int, seed: Scalar) -> BiSeries:
         weighted = [[(k * i - den * a) * v for v in r] for i, r in enumerate(rows[: a + 1])]
         for b in range(len(top)):
             out[a][b] = _quotient(_product_cell(weighted, out, a, b), den * a * x00)
-    return BiSeries(x.rect, tuple(tuple(row) for row in out))
+    return BiSeries(out)
 
 
 def _row_bits(x: Sequence[Sequence[Scalar]]) -> list[int]:
@@ -196,31 +197,31 @@ def _kronecker_product(x: BiSeries, y: BiSeries) -> BiSeries:
     for a in range(max_a + 1):
         end = len(product) - a * stride * width
         row = product[end - (max_b + 1) * width : end]
-        rows.append(
-            tuple(int(Decimal(row[k : k + width])) for k in range(max_b * width, -1, -width))
-        )
-    return BiSeries(x.rect, tuple(rows))
+        rows.append([int(Decimal(row[k : k + width])) for k in range(max_b * width, -1, -width)])
+    return BiSeries(rows)
 
 
 class BiSeries:
-    """A bivariate series truncated to ``rect``, with exact rational cells.
+    """A bivariate series built from its rows, with exact rational cells.
 
     Cells are ``int`` or ``Fraction``, chosen as the module docstring says.
 
-    ``coeff[a][b]`` is the coefficient of (first variable)^a (second
-    variable)^b.  Every cell inside the rectangle is materialised; absent
-    terms are explicit zeros.  Both fields are read-only, and equal fields
-    make equal, equally hashed series.
+    ``BiSeries(rows)`` freezes any iterable of rows into ``coeff``, a tuple
+    of tuples, and reads ``rect`` from its shape; an empty or ragged table
+    is refused.  ``coeff[a][b]`` is the coefficient of (first variable)^a
+    (second variable)^b, and absent terms are explicit zeros.  Both fields
+    are read-only, and equal tables make equal, equally hashed series.
     """
 
     __slots__ = ("rect", "coeff")
     rect: Rect
     coeff: tuple[tuple[Scalar, ...], ...]
 
-    def __init__(self, rect: Rect, coeff: tuple[tuple[Scalar, ...], ...]) -> None:
-        if len(coeff) != rect.max_a + 1 or any(len(row) != rect.max_b + 1 for row in coeff):
-            raise ValueError("coefficient table does not match rectangle")
-        object.__setattr__(self, "rect", rect)
+    def __init__(self, rows: Iterable[Iterable[Scalar]]) -> None:
+        coeff = tuple(map(tuple, rows))
+        if not coeff or not coeff[0] or any(len(row) != len(coeff[0]) for row in coeff):
+            raise ValueError("coefficient table is empty or ragged")
+        object.__setattr__(self, "rect", Rect(len(coeff) - 1, len(coeff[0]) - 1))
         object.__setattr__(self, "coeff", coeff)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -232,14 +233,14 @@ class BiSeries:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.rect == other.rect and self.coeff == other.coeff
+        return self.coeff == other.coeff
 
     def __hash__(self) -> int:
-        return hash((self.rect, self.coeff))
+        return hash(self.coeff)
 
     def __reduce__(self) -> tuple:
         # copy and pickle rebuild through __init__, since __setattr__ refuses
-        return BiSeries, (self.rect, self.coeff)
+        return BiSeries, (self.coeff,)
 
     # ---- construction ----
 
@@ -251,11 +252,11 @@ class BiSeries:
             if not rect.contains(a, b):
                 raise ValueError(f"index out of rectangle: ({a}, {b}) not in {rect}")
             table[a][b] = _quotient(value, 1)
-        return cls(rect, tuple(tuple(row) for row in table))
+        return cls(table)
 
     @classmethod
     def zero(cls, rect: Rect) -> BiSeries:
-        return cls(rect, tuple((0,) * (rect.max_b + 1) for _ in range(rect.max_a + 1)))
+        return cls([(0,) * (rect.max_b + 1)] * (rect.max_a + 1))
 
     @classmethod
     def one(cls, rect: Rect) -> BiSeries:
@@ -273,10 +274,7 @@ class BiSeries:
         """Truncation to a sub-rectangle."""
         if rect.max_a > self.rect.max_a or rect.max_b > self.rect.max_b:
             raise ValueError(f"rectangle out of range: {rect} not inside {self.rect}")
-        return BiSeries(
-            rect,
-            tuple(tuple(row[: rect.max_b + 1]) for row in self.coeff[: rect.max_a + 1]),
-        )
+        return BiSeries(row[: rect.max_b + 1] for row in self.coeff[: rect.max_a + 1])
 
     # ---- ring operations ----
 
@@ -286,9 +284,7 @@ class BiSeries:
 
     def _cellwise(self, op: Callable[[Scalar, Scalar], Scalar], other: BiSeries) -> BiSeries:
         self._require_same_rect(other)
-        return BiSeries(
-            self.rect, tuple(tuple(map(op, rx, ry)) for rx, ry in zip(self.coeff, other.coeff))
-        )
+        return BiSeries(map(op, rx, ry) for rx, ry in zip(self.coeff, other.coeff))
 
     def __add__(self, other: BiSeries) -> BiSeries:
         return self._cellwise(add, other)
@@ -298,8 +294,7 @@ class BiSeries:
 
     def scale(self, factor: Scalar) -> BiSeries:
         num, den = Fraction(factor).as_integer_ratio()
-        rows = (tuple(_quotient(num * v, den) for v in r) for r in self.coeff)
-        return BiSeries(self.rect, tuple(rows))
+        return BiSeries((_quotient(num * v, den) for v in r) for r in self.coeff)
 
     def __mul__(self, other: BiSeries) -> BiSeries:
         """Truncated product: cell (a, b) is sum of x[i,j] * y[a-i,b-j].
@@ -310,11 +305,8 @@ class BiSeries:
         self._require_same_rect(other)
         x, y = _nonzero_rows(self.coeff), other.coeff
         return BiSeries(
-            self.rect,
-            tuple(
-                tuple(_product_cell(x, y, a, b) for b in range(self.rect.max_b + 1))
-                for a in range(self.rect.max_a + 1)
-            ),
+            (_product_cell(x, y, a, b) for b in range(self.rect.max_b + 1))
+            for a in range(self.rect.max_a + 1)
         )
 
     def __pow__(self, exponent: int) -> BiSeries:
@@ -370,7 +362,7 @@ class BiSeries:
         for b, value in enumerate(self.coeff[0]):
             if value != 0:
                 raise ValueError(f"not divisible by z: nonzero coefficient at (0, {b})")
-        return BiSeries(Rect(self.rect.max_a - 1, self.rect.max_b), self.coeff[1:])
+        return BiSeries(self.coeff[1:])
 
     def div_z_plus_w(self, target: Rect) -> BiSeries:
         """Exact division by (z + w), truncated to ``target``.
@@ -395,7 +387,7 @@ class BiSeries:
         rows = [(0,) * width]
         for a in range(need_a - 1, -1, -1):
             rows.append(tuple(map(sub, x[a + 1][:width], (0, *rows[-1][:-1]))))
-        quotient = BiSeries(target, tuple(rows[::-1][: target.max_a + 1]))
+        quotient = BiSeries(rows[::-1][: target.max_a + 1])
         if x[0][0] != 0:
             raise ValueError("not divisible by z+w: nonzero constant term")
         for n in range(1, width):

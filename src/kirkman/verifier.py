@@ -73,15 +73,15 @@ def closed_table(p: int, window: Rect) -> BiSeries:
     asserted integral; no binomial is taken (``closed_form_coeff`` is the reference).
     """
     _check_power(p)
-    rows: list[tuple[int, ...]] = []
+    rows: list[list[int]] = []
     for m in range(window.max_a + 1):
         num, den = 2 * (m - 1 + p) * (2 * m + 2 * p - 1), m * (m + 2 * p)
         row = [_integral_quotient(rows[-1][0] * num, den, p, m, 0) if m else 1]
         for n in range(window.max_b):
             num, den = (m + n + p) * (2 * m + n + 2 * p + 1), (n + 1) * (m + n + 2 * p + 1)
             row.append(_integral_quotient(row[n] * num, den, p, m, n + 1))
-        rows.append(tuple(row))
-    return BiSeries(window, tuple(rows))
+        rows.append(row)
+    return BiSeries(rows)
 
 
 def convolution_lhs(x: BiSeries, y: BiSeries, M: int, N: int) -> int:

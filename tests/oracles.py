@@ -126,15 +126,15 @@ def corrupted_closed_table(p: int, window: Rect) -> BiSeries:
     return table
 
 
-def corrupt_route(monkeypatch, route: str, delta) -> None:
-    """Shift cell (0, 0) of the table ``verifier.<route>`` returns by ``delta``."""
-    original = getattr(verifier, route)
+def corrupt_route(monkeypatch, route: str, delta, owner=verifier) -> None:
+    """Shift cell (0, 0) of the table ``owner.<route>`` returns by ``delta``."""
+    original = getattr(owner, route)
 
     def corrupted(*args):
         table = original(*args)
         return table + BiSeries.from_table(table.rect, {(0, 0): delta})
 
-    monkeypatch.setattr(verifier, route, corrupted)
+    monkeypatch.setattr(owner, route, corrupted)
 
 
 def cli_env() -> dict:

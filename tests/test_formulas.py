@@ -22,7 +22,9 @@ from kirkman.formulas import (
 from kirkman.series import BiSeries, Rect
 from kirkman.verifier import closed_table
 
-from oracles import catalan, naive_mul, quadratic_residual, quadratic_table, record_calls
+from oracles import (
+    catalan, corrupt_route, naive_mul, quadratic_residual, quadratic_table, record_calls
+)
 
 
 def test_binomial_values():
@@ -78,6 +80,20 @@ def test_closed_form_asserts_integrality(monkeypatch):
     monkeypatch.setattr(formulas, "binomial", lambda a, b: 1)
     with pytest.raises(ArithmeticError, match="integrality violated at p=1 m=1 n=0: 1/2$"):
         closed_form_coeff(1, 1, 0)
+
+
+def test_power_series_asserts_integrality(monkeypatch):
+    corrupt_route(monkeypatch, "_power", Fraction(1, 2), formulas)
+    with pytest.raises(ArithmeticError, match="integrality violated at p=2 m=0 n=0: 3/2$"):
+        power_series(2, Rect(2, 2))
+
+
+def test_radical_series_asserts_integrality(monkeypatch):
+    # the division by z+w is the route's last step; corrupting the halving
+    # before it would trip that division's residual check instead
+    corrupt_route(monkeypatch, "div_z_plus_w", Fraction(1, 2), BiSeries)
+    with pytest.raises(ArithmeticError, match="integrality violated at p=1 m=0 n=0: 3/2$"):
+        radical_series(Rect(2, 2))
 
 
 def test_fixpoint_trivial_window():

@@ -30,6 +30,23 @@ def test_rect_validation():
     assert list(Rect(1, 1).cells()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
+def test_constructor_freezes_rows_and_reads_rect_from_them():
+    rows = [[1, 2, 3], [4, 5, 6]]
+    x, frozen = BiSeries(rows), BiSeries(((1, 2, 3), (4, 5, 6)))
+    assert x == frozen and hash(x) == hash(frozen)
+    assert x.rect == Rect(1, 2)
+    # the caller's later edits leave the series as it was built
+    rows[0][0] = 7
+    rows.append([7, 8, 9])
+    assert x == frozen and x[0, 0] == 1 and x.rect == Rect(1, 2)
+
+
+@pytest.mark.parametrize("rows", [[], [[]], [[1, 2], [3]]], ids=["no-rows", "empty-row", "ragged"])
+def test_constructor_rejects_empty_or_ragged_rows(rows):
+    with pytest.raises(ValueError, match="empty or ragged"):
+        BiSeries(rows)
+
+
 def test_from_table_constant():
     one = BiSeries.from_table(Rect(1, 1), {(0, 0): 1})
     assert one[0, 0] == 1
@@ -538,7 +555,7 @@ def test_kronecker_product_longer_than_a_million_digits():
 def test_kronecker_product_rejects_cells_that_are_not_non_negative_ints(bad):
     rect = Rect(2, 2)
     good = BiSeries.from_table(rect, dict.fromkeys(rect.cells(), 1))
-    bad_table = BiSeries(rect, ((1, 1, 1), (1, 1, bad), (1, 1, 1)))
+    bad_table = BiSeries(((1, 1, 1), (1, 1, bad), (1, 1, 1)))
     with pytest.raises(ValueError, match="non-negative int"):
         _kronecker_product(bad_table, good)
     with pytest.raises(ValueError, match="non-negative int"):

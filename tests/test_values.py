@@ -21,6 +21,7 @@ from oracles import cli_env
 VALUES = {
     "Rect": (lambda: Rect(1, 2), "max_a"),
     "BiSeries": (lambda: BiSeries.from_table(Rect(1, 2), {(0, 0): 1, (1, 2): 3}), "coeff"),
+    "BiSeries-from-lists": (lambda: BiSeries([[1, 2], [3, 4]]), "rect"),
     "Counterexample": (lambda: Counterexample(1, 2, 3, 4, 5, 6), "lhs"),
     "VerifyReport": (lambda: VerifyReport("r=1 s=1", 3), "checked_count"),
     "CoeffReport": (lambda: CoeffReport(1, 1, {"closed": 5, "series": 5}), "values"),
