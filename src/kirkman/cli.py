@@ -5,7 +5,8 @@ found, 2 usage error; a reader closing the pipe early ends it quietly by
 SIGPIPE, as it ends ``cat`` (shell status 141).  Data goes to stdout,
 diagnostics to stderr.  All numbers are printed in full decimal expansion,
 and rows in blocks of about 64 KiB of whole lines, one write each: every row
-exists before the first block is written, so blocking delays nothing.
+exists before the first block is written, so blocking delays nothing.  Each
+handler imports the arithmetic it runs: ``--help`` and parse errors load none.
 """
 
 from __future__ import annotations
@@ -16,14 +17,12 @@ import sys
 from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
 
-from . import formulas, verifier
-from .series import Rect
-
 EXIT_OK = 0
 EXIT_DISAGREEMENT = 1
 EXIT_USAGE = 2
 
 FORMATS = ("pretty", "csv", "json-lines")
+METHODS = ("closed", "series", "lagrange", "radical")  # as verifier.ROUTES, without its import
 _BLOCK_CHARS = 1 << 16  # a block of output lines is written once it holds this many characters
 
 
@@ -60,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     expand.add_argument("--p", type=_int_at_least(1), required=True)
     expand.add_argument("--max-m", type=_int_at_least(0), required=True)
     expand.add_argument("--max-n", type=_int_at_least(0), required=True)
-    expand.add_argument("--method", choices=verifier.ROUTES, default="closed")
+    expand.add_argument("--method", choices=METHODS, default="closed")
     expand.set_defaults(handler=_cmd_expand)
 
     verify = sub.add_parser("verify", help="sweep the convolution identity")
@@ -109,7 +108,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             # int-to-str conversion would end a large one in a traceback with exit 1
             limit = sys.get_int_max_str_digits()
             sys.set_int_max_str_digits(0)
-        return args.handler(args)
+        try:
+            return args.handler(args)
+        except ArithmeticError as error:
+            # a route failed an exactness check: a disagreement, reported as one record
+            print(f"{args.parser.prog}: {error}", file=sys.stderr)
+            return EXIT_DISAGREEMENT
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
@@ -160,6 +164,7 @@ def _emit_rows(fmt: str, header: Sequence[str], rows: Iterable[Sequence[object]]
 
 
 def _cmd_coeff(args: argparse.Namespace) -> int:
+    from . import formulas
     value = formulas.closed_form_coeff(args.p, args.m, args.n)
     if args.format == "pretty":
         print(value)
@@ -169,6 +174,8 @@ def _cmd_coeff(args: argparse.Namespace) -> int:
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
+    from . import verifier
+    from .series import Rect
     table = verifier.ROUTES[args.method](args.p, Rect(args.max_m, args.max_n))
     if table is None:
         args.parser.error(f"--method {args.method} is only defined for --p 1")
@@ -181,6 +188,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import verifier
     if args.format == "pretty":
         report = verifier.verify_generalized(args.r, args.s, args.max_M, args.max_N)
         if report.passed:
@@ -207,6 +215,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_crosscheck(args: argparse.Namespace) -> int:
+    from . import verifier
     reports = verifier.cross_check_methods(args.p, args.max_m, args.max_n)
     all_agree = all(r.agree for r in reports)
 

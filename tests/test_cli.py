@@ -20,7 +20,9 @@ import pytest
 
 import kirkman.cli as cli_module
 import kirkman.verifier as verifier_module
+from kirkman import formulas
 from kirkman.cli import main
+from kirkman.series import BiSeries
 
 from oracles import cli_env, corrupt_route, corrupted_closed_table, record_calls
 
@@ -248,6 +250,15 @@ def test_expand_json_lines(capsys):
     ]
 
 
+def test_expand_method_choices_are_the_routes(capsys):
+    # cli names the routes itself, so that parsing imports no arithmetic;
+    # renaming or reordering a route on one side only must fail here
+    with pytest.raises(SystemExit):
+        main(["expand", "--help"])
+    assert f"--method {{{','.join(verifier_module.ROUTES)}}}" in capsys.readouterr().out
+    assert cli_module.METHODS == tuple(verifier_module.ROUTES)
+
+
 # ---- verify ----
 
 
@@ -467,6 +478,24 @@ def test_crosscheck_json_lines_renders_non_integer_as_fraction(monkeypatch, caps
     )
 
 
+@pytest.mark.parametrize(
+    "owner, route, argv, p",
+    [
+        (formulas, "_power", ["expand", "--method", "series", "--p", "2"], 2),
+        (formulas, "_power", ["crosscheck", "--p", "2"], 2),
+        # as in test_radical_series_asserts_integrality: z+w's division is the last step
+        (BiSeries, "div_z_plus_w", ["expand", "--method", "radical", "--p", "1"], 1),
+    ],
+    ids=["expand-series", "crosscheck", "expand-radical"],
+)
+def test_integrality_failure_exits_1_with_one_line(monkeypatch, capsys, owner, route, argv, p):
+    corrupt_route(monkeypatch, route, Fraction(1, 2), owner=owner)
+    code, out, err = run([*argv, "--max-m", "2", "--max-n", "2"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"kirkman {argv[0]}: integrality violated at p={p} m=0 n=0: 3/2\n"
+
+
 # ---- a reader that stops early ----
 
 
@@ -509,3 +538,46 @@ def test_closed_pipe_ends_quietly_when_the_output_is_still_buffered():
         os.close(write)
     assert proc.returncode == -signal.SIGPIPE
     assert proc.stderr == b""
+
+
+# ---- start-up: what a command loads ----
+
+# what the console script of [project.scripts] runs: kirkman.cli imported as a
+# module, not run as __main__, with the arguments read from sys.argv
+CONSOLE_SCRIPT = "import sys; from kirkman.cli import main; sys.exit(main())"
+# prints, as the last line of stdout, every kirkman module the command loaded
+SHOW_MODULES = (
+    "import atexit, sys; atexit.register(lambda: print("
+    "*sorted(name for name in sys.modules if name.split('.')[0] == 'kirkman')))"
+)
+ARITHMETIC = {"kirkman.formulas", "kirkman.lagrange", "kirkman.series", "kirkman.verifier"}
+
+
+def test_console_script_prints_a_coefficient():
+    proc = subprocess.run(
+        [sys.executable, "-c", CONSOLE_SCRIPT, "coeff", "--p", "1", "--m", "1", "--n", "1"],
+        capture_output=True, text=True, env=cli_env(), timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "5\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv, code, unloaded",
+    [
+        (["--help"], 0, ARITHMETIC),
+        (["verify", "--help"], 0, ARITHMETIC),
+        (["expand", "--p", "1", "--max-m", "2", "--max-n", "2", "--method", "foo"], 2, ARITHMETIC),
+        (["coeff", "--p", "1", "--m", "1", "--n", "1"], 0, {"kirkman.lagrange", "kirkman.verifier"}),
+    ],
+    ids=["help", "verify-help", "usage-error", "coeff"],
+)
+def test_a_command_loads_only_the_arithmetic_it_runs(argv, code, unloaded):
+    # only kirkman's own modules are compared: site may preload others
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{SHOW_MODULES}; {CONSOLE_SCRIPT}", *argv],
+        capture_output=True, text=True, env=cli_env(), timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert {"kirkman", "kirkman.cli"} <= loaded
+    assert not loaded & unloaded
