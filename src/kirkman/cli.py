@@ -19,7 +19,6 @@ from typing import Callable, Iterable, Optional, Sequence
 
 EXIT_OK = 0
 EXIT_DISAGREEMENT = 1
-EXIT_USAGE = 2
 
 FORMATS = ("pretty", "csv", "json-lines")
 METHODS = ("closed", "series", "lagrange", "radical")  # as verifier.ROUTES, without its import

@@ -10,17 +10,15 @@ and the geometric row ([z^0 w^n] f = 1).  This module provides:
 
   * ``closed_form_coeff`` -- the binomial closed form for one cell [z^m w^n]
                              f^p (``verifier.closed_table`` walks term ratios),
-  * ``fixpoint_series``   -- f from the quadratic's coefficient recurrence,
-                             one running sum per row,
+  * ``power_series``      -- f^p from the quadratic's coefficient recurrence
+                             for every power of f at once, in additions,
+  * ``fixpoint_series``   -- f itself, ``power_series`` at p = 1,
   * ``radical_series``    -- f from its radical expression, as an
-                             independent witness,
-  * ``power_series``      -- f^p by the row recurrence of ``series._power``
-                             (f itself for p = 1).
+                             independent witness.
 
 All routes agree cellwise; the verifier module sweeps that agreement.  Every
-route that divides asserts each cell of its table integral.  The series
-routes share only the kernels of ``series``; none reads another route's
-table.
+route that divides asserts each cell of its table integral; the series route
+only adds ints.  No route reads another route's table.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ import math
 from fractions import Fraction
 from itertools import accumulate
 
-from .series import BiSeries, Rect, _check_power, _integral_quotient, _power, _product_cell, poly
+from .series import BiSeries, Rect, _check_power, _integral_quotient, poly
 
 
 def binomial(a: int, b: int) -> int:
@@ -63,34 +61,15 @@ def _integral_table(x: BiSeries, p: int) -> BiSeries:
 
 
 def fixpoint_series(window: Rect) -> BiSeries:
-    """f on ``window`` as the power-series root of the defining quadratic.
+    """f on ``window``, the power-series root of the defining quadratic.
 
-    The quadratic's coefficient form,
-
-        f[a,b] = [a=b=0] + 2 f[a-1,b] + f[a,b-1] + (f^2)[a-2,b] + (f^2)[a-1,b-1],
-
-    makes each row of f one running sum along b: row a is the running sum
-    of 2 f[a-1] + f^2[a-2] + (f^2[a-1] shifted one place in b), and row 0 the
-    running sum of [a=b=0].  f^2 is taken a row behind f: step a first
-    forms row a-1 of f^2, one product cell per entry over the rows of f
-    filled so far, so the last row of f^2, which the recurrence never reads,
-    is never formed.  This is the root with constant term 1; the other root
-    of the quadratic is not a power series.
-
-    This is the recurrence the test oracle ``quadratic_table`` also uses, so
-    the guards that do not depend on how f is built are the quadratic
-    residual (acceptance criterion 6), which must vanish on any
-    construction, and the radical route, which reaches f by a square root
-    and two exact divisions instead.
+    ``power_series(1, window)``: the root with constant term 1; the other
+    root is not a power series.  The test oracle ``quadratic_table`` reads
+    the same quadratic, so the guards that do not depend on how f is built
+    are the quadratic residual (acceptance criterion 6) and the radical
+    route, which reaches f by a square root and two exact divisions.
     """
-    width = window.max_b + 1
-    f = [list(accumulate([1] + [0] * window.max_b))]
-    square = [[0] * width]  # rows of f^2, after a zero row standing for row -1
-    for a in range(1, window.max_a + 1):
-        square.append([_product_cell(f, f, a - 1, b) for b in range(width)])
-        terms = zip(f[a - 1], square[a - 1], [0, *square[a][:-1]])
-        f.append(list(accumulate(2 * up + two_up + diagonal for up, two_up, diagonal in terms)))
-    return BiSeries(f)
+    return power_series(1, window)
 
 
 def radical_series(window: Rect) -> BiSeries:
@@ -111,7 +90,26 @@ def radical_series(window: Rect) -> BiSeries:
 
 
 def power_series(p: int, window: Rect) -> BiSeries:
-    """f^p on ``window``; cell (m, n) equals closed_form_coeff(p, m, n)."""
+    """f^p on ``window``; cell (m, n) equals closed_form_coeff(p, m, n).
+
+    The quadratic times f^(k-1), read at z^m, gives for every k >= 1
+
+        (1-w) f^k[m] = 2 f^k[m-1] + f^(k+1)[m-2] + w f^(k+1)[m-1] + f^(k-1)[m],
+
+    with f^0 = 1 and rows of negative index zero: row m of f^k is one
+    running sum along w.  Row m is formed for k = 1 ... p + max_a - m, the
+    powers that rows m+1 ... max_a of f^p still read, from rows m-1 and m-2
+    alone.  The work is additions only, so every cell is an int.
+    """
     _check_power(p)
-    f = fixpoint_series(window)
-    return f if p == 1 else _integral_table(_power(f, p, 1, 1), p)
+    top, zero = p + window.max_a, (0,) * (window.max_b + 1)
+    two_up = one_up = [zero] * (top + 2)  # rows m-2 and m-1 of f^k, indexed by k
+    rows = []
+    for m in range(window.max_a + 1):
+        row = [(1, *zero[1:]) if m == 0 else zero]  # row m of f^0 = 1
+        for k in range(1, top - m + 1):
+            terms = zip(one_up[k], two_up[k + 1], (0, *one_up[k + 1][:-1]), row[k - 1])
+            row.append(tuple(accumulate(2 * x + y + d + s for x, y, d, s in terms)))
+        rows.append(row[p])
+        two_up, one_up = one_up, row
+    return BiSeries(rows)

@@ -17,8 +17,8 @@ integer cells, and mixed int/Fraction arithmetic stays exact.  A table built
 from integers therefore holds only ints unless some division in it leaves a
 remainder.
 
-One kernel, ``_power``, fills every power s = x^(num/den) of an x with
-x[0,0] != 0 (``reciprocal``, ``sqrt`` and the series route's f^p) by
+One kernel, ``_power``, fills a power s = x^(num/den) of an x with
+x[0,0] != 0 (``reciprocal`` and ``sqrt``) by
 J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, section 4.7) in the first
 variable, whose coefficients are series in the second: from
 x s' = (num/den) s x', for every row a >= 1,
@@ -40,8 +40,8 @@ substitution): each table is packed into one decimal number, one slot of
 fixed width per cell, and the ``decimal`` module multiplies such numbers by
 a number-theoretic transform, about five times faster than CPython's binary
 Karatsuba multiplies ints of the same size at the sweep's sizes.  Only the
-identity sweep uses it.  The recurrences keep ``_product_cell``: each of
-their cells needs cells of the result filled before it, so they take their
+identity sweep uses it.  The power kernel keeps ``_product_cell``: each of
+its cells needs cells of the result filled before it, so it takes its
 products one cell at a time.
 
 The constructor freezes the rows it is given, so a value is immutable once

@@ -15,6 +15,8 @@ Every test double of the suite is defined here once:
   call time would find the patched binding and recurse;
 - ``corrupt_route`` shifts cell (0, 0) of a route's table as the verifier
   sees it;
+- ``times_one_plus_half_y`` stands in for the Lagrange route's step
+  ``_times_phi`` with phi = 1 + y/2, whose powers are not integral;
 - ``cli_env`` is the environment of a CLI run in a subprocess.
 """
 
@@ -135,6 +137,14 @@ def corrupt_route(monkeypatch, route: str, delta, owner=verifier) -> None:
         return table + BiSeries.from_table(table.rect, {(0, 0): delta})
 
     monkeypatch.setattr(owner, route, corrupted)
+
+
+def times_one_plus_half_y(g: tuple) -> tuple:
+    """g * (1 + y/2), rows read as y: [y^1] phi^2 = 1 is not divisible by m + p = 2."""
+    return tuple(
+        tuple(x + Fraction(y, 2) for x, y in zip(row, lower))
+        for row, lower in zip(g, ((0,) * len(g[0]), *g))
+    )
 
 
 def cli_env() -> dict:

@@ -20,11 +20,13 @@ import pytest
 
 import kirkman.cli as cli_module
 import kirkman.verifier as verifier_module
-from kirkman import formulas
+from kirkman import lagrange
 from kirkman.cli import main
 from kirkman.series import BiSeries
 
-from oracles import cli_env, corrupt_route, corrupted_closed_table, record_calls
+from oracles import (
+    cli_env, corrupt_route, corrupted_closed_table, record_calls, times_one_plus_half_y
+)
 
 
 def run(argv, capsys):
@@ -227,6 +229,18 @@ def test_expand_matches_closed(capsys, method):
     code, method_out, _ = run(["expand", *base, "--method", method], capsys)
     assert code == 0
     assert method_out == closed_out
+
+
+@pytest.mark.parametrize("method", verifier_module.ROUTES)
+def test_expand_max_m_0_is_row_0(capsys, method):
+    # row 0 of f^p is (1-w)^-p: C(n+1, 1) = n+1 for p = 2, and 1 for p = 1
+    p = 1 if method == "radical" else 2
+    argv = ["--p", str(p), "--max-m", "0", "--max-n", "3", "--format", "csv"]
+    code, out, _ = run(["expand", *argv, "--method", method], capsys)
+    assert code == 0
+    assert out == "m,n,coefficient\n" + "".join(
+        f"0,{n},{n + 1 if p == 2 else 1}\n" for n in range(4)
+    )
 
 
 def test_expand_pretty(capsys):
@@ -478,22 +492,31 @@ def test_crosscheck_json_lines_renders_non_integer_as_fraction(monkeypatch, caps
     )
 
 
+def _corrupt_phi(monkeypatch):
+    # as in test_lagrange_table_asserts_integrality: phi = 1 + y/2
+    monkeypatch.setattr(lagrange, "_times_phi", times_one_plus_half_y)
+
+
+def _corrupt_z_plus_w(monkeypatch):
+    # as in test_radical_series_asserts_integrality: z+w's division is the last step
+    corrupt_route(monkeypatch, "div_z_plus_w", Fraction(1, 2), owner=BiSeries)
+
+
 @pytest.mark.parametrize(
-    "owner, route, argv, p",
+    "corrupt, argv, cell",
     [
-        (formulas, "_power", ["expand", "--method", "series", "--p", "2"], 2),
-        (formulas, "_power", ["crosscheck", "--p", "2"], 2),
-        # as in test_radical_series_asserts_integrality: z+w's division is the last step
-        (BiSeries, "div_z_plus_w", ["expand", "--method", "radical", "--p", "1"], 1),
+        (_corrupt_phi, ["expand", "--method", "lagrange", "--p", "1"], "m=1 n=0: 1/2"),
+        (_corrupt_z_plus_w, ["crosscheck", "--p", "1"], "m=0 n=0: 3/2"),
+        (_corrupt_z_plus_w, ["expand", "--method", "radical", "--p", "1"], "m=0 n=0: 3/2"),
     ],
-    ids=["expand-series", "crosscheck", "expand-radical"],
+    ids=["expand-lagrange", "crosscheck", "expand-radical"],
 )
-def test_integrality_failure_exits_1_with_one_line(monkeypatch, capsys, owner, route, argv, p):
-    corrupt_route(monkeypatch, route, Fraction(1, 2), owner=owner)
+def test_integrality_failure_exits_1_with_one_line(monkeypatch, capsys, corrupt, argv, cell):
+    corrupt(monkeypatch)
     code, out, err = run([*argv, "--max-m", "2", "--max-n", "2"], capsys)
     assert code == 1
     assert out == ""
-    assert err == f"kirkman {argv[0]}: integrality violated at p={p} m=0 n=0: 3/2\n"
+    assert err == f"kirkman {argv[0]}: integrality violated at p=1 {cell}\n"
 
 
 # ---- a reader that stops early ----

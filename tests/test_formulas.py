@@ -82,12 +82,6 @@ def test_closed_form_asserts_integrality(monkeypatch):
         closed_form_coeff(1, 1, 0)
 
 
-def test_power_series_asserts_integrality(monkeypatch):
-    corrupt_route(monkeypatch, "_power", Fraction(1, 2), formulas)
-    with pytest.raises(ArithmeticError, match="integrality violated at p=2 m=0 n=0: 3/2$"):
-        power_series(2, Rect(2, 2))
-
-
 def test_radical_series_asserts_integrality(monkeypatch):
     # the division by z+w is the route's last step; corrupting the halving
     # before it would trip that division's residual check instead
@@ -121,18 +115,6 @@ def test_fixpoint_matches_recurrence_oracle(window):
     table = quadratic_table(window.max_a, window.max_b)
     for a, b in window.cells():
         assert f[a, b] == table[a, b]
-
-
-def test_fixpoint_takes_f_squared_a_row_behind(monkeypatch):
-    # step a forms row a-1 of f^2, so the last row of f^2, which the
-    # recurrence never reads, is never formed: 12 rows of 13 product cells;
-    # f^1 is f itself, so the power kernel in series adds no product cell
-    calls = record_calls(monkeypatch, "_product_cell", formulas, series)
-    for build in (fixpoint_series, lambda window: power_series(1, window)):
-        calls.clear()
-        build(Rect(12, 12))
-        assert len(calls) == 156
-        assert max((a, b) for _, _, a, b in calls) == (11, 12)
 
 
 def test_fixpoint_quadratic_residual_vanishes():
@@ -272,8 +254,25 @@ def test_lagrange_route_takes_no_series_power(monkeypatch):
     assert products and powers
 
 
+def test_series_route_is_additions_only(monkeypatch):
+    # every power of f comes from the quadratic's own recurrence in running
+    # sums: the route names no product cell, power kernel or divider, calls
+    # none, and so needs no integrality check
+    kernels = {"_power", "_product_cell", "_quotient", "_integral_quotient"}
+    for source in (formulas.power_series, formulas.fixpoint_series):
+        assert not _names(source) & kernels, (source.__name__, _names(source) & kernels)
+    calls = record_calls(monkeypatch, "_product_cell", series)
+    calls += record_calls(monkeypatch, "_power", series)
+    table = power_series(5, Rect(12, 12))
+    assert calls == []
+    assert all(type(value) is int for row in table.coeff for value in row)
+    # the spies see the square root's power kernel and its product cells
+    BiSeries.one(Rect(1, 1)).sqrt()
+    assert calls
+
+
 def test_series_route_takes_no_series_power(monkeypatch):
-    # f^p comes from the row recurrence of series._power
+    # f^p comes from the quadratic's recurrence for every power of f at once
     powers = record_calls(monkeypatch, "__pow__", BiSeries)
     power_series(5, Rect(12, 12))
     assert powers == []
@@ -282,9 +281,18 @@ def test_series_route_takes_no_series_power(monkeypatch):
     assert powers
 
 
-@pytest.mark.parametrize("p", [1, 6])
-def test_power_routes_agree_on_asymmetric_window(p):
-    window = Rect(24, 16)
+@pytest.mark.parametrize(
+    "p, window",
+    [
+        *(pytest.param(p, Rect(24, 16), id=str(p)) for p in (1, 6, 9)),
+        *(
+            pytest.param(p, window, id=f"{p}-{window.max_a}x{window.max_b}")
+            for p in (1, 6, 9)
+            for window in (Rect(0, 7), Rect(7, 0), Rect(20, 3), Rect(3, 20))
+        ),
+    ],
+)
+def test_power_routes_agree_on_asymmetric_window(p, window):
     assert lagrange.lagrange_table(p, window) == power_series(p, window) == closed_table(p, window)
 
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import pytest
 
 from kirkman import lagrange as lagrange_module
@@ -12,7 +10,7 @@ from kirkman.lagrange import build_phi, lagrange_coeff, lagrange_table
 from kirkman.series import BiSeries, Rect, poly
 from kirkman.verifier import closed_table
 
-from oracles import catalan
+from oracles import catalan, times_one_plus_half_y
 
 
 # The fixed point y = z * phi(y) solved by substitution: a check on phi that
@@ -108,12 +106,6 @@ def test_lagrange_coeff_rejects_bad_arguments():
 
 def test_lagrange_table_asserts_integrality(monkeypatch):
     # phi = 1 + y/2 gives [y^1] phi^2 = 1, not divisible by m + p = 2
-    def times_one_plus_half_y(g):
-        return tuple(
-            tuple(x + Fraction(y, 2) for x, y in zip(row, lower))
-            for row, lower in zip(g, ((0,) * len(g[0]), *g))
-        )
-
     monkeypatch.setattr(lagrange_module, "_times_phi", times_one_plus_half_y)
     with pytest.raises(ArithmeticError, match="integrality violated at p=1 m=1 n=0: 1/2$"):
         lagrange_table(1, Rect(1, 0))

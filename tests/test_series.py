@@ -356,6 +356,11 @@ def test_restrict_and_equals_on():
         restricted.restrict(Rect(3, 3))
 
 
+def test_restrict_to_its_own_rectangle_is_the_same_series():
+    x = random_series(random.Random(18), Rect(4, 3))
+    assert x.restrict(x.rect) == x
+
+
 def test_poly_clips_outside_terms():
     small = poly(Rect(0, 0), {(0, 0): 3, (1, 0): 1, (0, 1): 1})
     assert small == BiSeries.from_table(Rect(0, 0), {(0, 0): 3})
@@ -512,6 +517,18 @@ def test_kronecker_product_matches_convolution_lhs(rect):
     _assert_packed_product_is_cellwise(lopsided(0), lopsided(rect.max_a))
     _assert_packed_product_is_cellwise(lopsided(rect.max_a), lopsided(0))
     _assert_packed_product_is_cellwise(lopsided(0), lopsided(rect.max_a // 2))
+
+
+@pytest.mark.parametrize(
+    "rect, bits", [(Rect(2, 2), 7), (Rect(0, 14), 5255)], ids=["2x2-7bits", "0x14-5255bits"]
+)
+def test_kronecker_product_of_equal_full_cells_matches_mul(rect, bits):
+    # every cell 2^bits - 1, the most its bit length allows, in every row, so
+    # the last slot sums (max_a + 1)(max_b + 1) products of the widest rows:
+    # it needs the carry guard's full count of terms, and at 5255 bits a slot
+    # one decimal digit narrower than the width formula gives would carry
+    x = BiSeries.from_table(rect, dict.fromkeys(rect.cells(), 2**bits - 1))
+    assert _kronecker_product(x, x) == x * x
 
 
 @pytest.mark.parametrize(

@@ -99,6 +99,13 @@ def test_convolution_lhs_examples():
     assert convolution_lhs(two, one, 1, 1) == 27
 
 
+def test_convolution_lhs_refuses_a_cell_outside_one_table():
+    small, large = closed_table(1, Rect(1, 1)), closed_table(1, Rect(2, 2))
+    for x, y in ((small, large), (large, small)):
+        with pytest.raises(IndexError, match=r"cell \(2, 2\) outside"):
+            convolution_lhs(x, y, 2, 2)
+
+
 def test_convolution_lhs_is_a_product_cell():
     window = Rect(5, 5)
     for r, s in [(1, 1), (2, 1), (2, 3)]:
