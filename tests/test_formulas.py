@@ -6,6 +6,7 @@ import ast
 import inspect
 import sys
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 from pathlib import Path
 
@@ -82,6 +83,16 @@ def test_closed_form_asserts_integrality(monkeypatch):
         closed_form_coeff(1, 1, 0)
 
 
+def test_power_series_asserts_integrality():
+    # the route only adds ints, so it needs no integrality pass of its own:
+    # every cell of f^p comes out an exact int, on square and skew windows
+    for p in (1, 2, 3, 6):
+        for window in (Rect(0, 5), Rect(5, 0), Rect(9, 4), Rect(4, 9)):
+            table = power_series(p, window)
+            assert all(type(value) is int for row in table.coeff for value in row)
+            assert table == closed_table(p, window)
+
+
 def test_radical_series_asserts_integrality(monkeypatch):
     # the division by z+w is the route's last step; corrupting the halving
     # before it would trip that division's residual check instead
@@ -115,6 +126,29 @@ def test_fixpoint_matches_recurrence_oracle(window):
     table = quadratic_table(window.max_a, window.max_b)
     for a, b in window.cells():
         assert f[a, b] == table[a, b]
+
+
+def test_fixpoint_takes_f_squared_a_row_behind(monkeypatch):
+    # row a of f reads f^2 only at rows a-1 and a-2, so row a of the powers is
+    # formed for f^1 ... f^(13-a), one running sum each, ascending: the last
+    # row of f^2, which the recurrence never reads, is never formed
+    sums = []
+
+    def spy(terms):
+        sums.append(tuple(accumulate(terms)))
+        return sums[-1]
+
+    monkeypatch.setattr(formulas, "accumulate", spy)
+    window = Rect(12, 12)
+    f, square = closed_table(1, window), closed_table(2, window)
+    for build in (fixpoint_series, lambda window: power_series(1, window)):
+        sums.clear()
+        build(window)
+        assert len(sums) == 91
+        rows = [sums[91 - (13 - a) * (14 - a) // 2:][: 13 - a] for a in range(13)]
+        assert [row[0] for row in rows] == list(f.coeff)
+        assert [row[1] for row in rows[:12]] == list(square.coeff[:12])
+        assert len(rows[12]) == 1
 
 
 def test_fixpoint_quadratic_residual_vanishes():
