@@ -14,7 +14,9 @@ and the geometric row ([z^0 w^n] f = 1).  This module provides:
                              for every power of f at once, in additions,
   * ``fixpoint_series``   -- f itself, ``power_series`` at p = 1,
   * ``radical_series``    -- f from its radical expression, as an
-                             independent witness.
+                             independent witness: the square root by its
+                             own row recurrence, in running sums and one
+                             exact division per cell.
 
 All routes agree cellwise; the verifier module sweeps that agreement.  Every
 route that divides asserts each cell of its table integral; the series route
@@ -76,15 +78,26 @@ def radical_series(window: Rect) -> BiSeries:
     """f on ``window`` from (1 - w - 2z - sqrt((1-w)^2 - 4z)) / (2z(z+w)).
 
     Exists as an independent witness for the fixpoint construction.  The
-    numerator is built on a padded rectangle, since dividing by (z+w)
-    consumes max_b extra degrees of z on top of the one consumed by the
-    division by z.  The square root branch with constant term +1 restricts
-    to 1 - w on the z^0 row, so the numerator's z^0 row cancels exactly.
+    root s = sum of s_a z^a, with rows s_a in w, comes from J.C.P. Miller's
+    recurrence for the radicand R = (1-w)^2 - 4z: R ds/dz = s (dR/dz) / 2,
+    read at z^(a-1), gives
+
+        a s_a = 2(2a-3) s_(a-1) / (1-w)^2,    s_0 = 1 - w,
+
+    so row a of the root is two running sums along w of row a-1, times
+    2(2a-3), each cell divided exactly by a (a remainder raises
+    ``ArithmeticError`` naming the root's cell).  The numerator is built on
+    a padded rectangle, since dividing by (z+w) consumes max_b extra degrees
+    of z on top of the one consumed by the division by z.  The root's z^0
+    row is 1 - w, so the numerator's z^0 row cancels exactly.
     """
     padded = Rect(window.max_a + window.max_b + 2, window.max_b)
-    radicand = poly(padded, {(0, 0): 1, (0, 1): -2, (0, 2): 1, (1, 0): -4})
-    root = radicand.sqrt()
-    numerator = poly(padded, {(0, 0): 1, (0, 1): -1, (1, 0): -2}) - root
+    rows = [((1, -1) + (0,) * window.max_b)[: window.max_b + 1]]
+    for a in range(1, padded.max_a + 1):
+        k = 2 * (2 * a - 3)
+        sums = accumulate(accumulate(rows[-1]))
+        rows.append(tuple(_integral_quotient(k * v, a, 1, a, b) for b, v in enumerate(sums)))
+    numerator = poly(padded, {(0, 0): 1, (0, 1): -1, (1, 0): -2}) - BiSeries(rows)
     halved = numerator.div_z().scale(Fraction(1, 2))
     return _integral_table(halved.div_z_plus_w(window), 1)
 

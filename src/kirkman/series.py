@@ -18,7 +18,7 @@ from integers therefore holds only ints unless some division in it leaves a
 remainder.
 
 One kernel, ``_power``, fills a power s = x^(num/den) of an x with
-x[0,0] != 0 (``reciprocal`` and ``sqrt``) by
+x[0,0] != 0 (``reciprocal`` and ``sqrt``; no route runs either) by
 J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, section 4.7) in the first
 variable, whose coefficients are series in the second: from
 x s' = (num/den) s x', for every row a >= 1,
@@ -31,8 +31,8 @@ and a, so each target row weights x's rows once and each cell is one product
 cell.  Row 0, x[0]^(num/den), comes from the same recurrence in the second
 variable (i, a -> j, b), with no binomial.  Cells are filled in row-major
 order, so every other cell read is already filled, and only the operand's
-rows up to its last nonzero one are read: the radicand of the radical route
-has two.
+rows up to its last nonzero one are read: a radicand linear in the first
+variable, such as (1-w)^2 - 4z, has two.
 
 A second kernel, ``_kronecker_product``, takes the whole truncated product
 of two tables of non-negative ints in one exact multiplication (Kronecker
@@ -78,6 +78,14 @@ def _integral_quotient(num: Scalar, den: int, p: int, m: int, n: int) -> int:
     if type(value) is not int:
         raise ArithmeticError(f"integrality violated at p={p} m={m} n={n}: {value}")
     return value
+
+
+class NotDivisibleError(ValueError, ArithmeticError):
+    """An exact division by z or by z+w that does not go.
+
+    A ``ValueError`` of the dividend, and an ``ArithmeticError``, so a route
+    whose table fails a division reports a disagreement, as a remainder does.
+    """
 
 
 def _check_power(p: int) -> None:
@@ -356,12 +364,15 @@ class BiSeries:
     # ---- exact divisions ----
 
     def div_z(self) -> BiSeries:
-        """Exact division by the first variable (drops the a=0 row)."""
+        """Exact division by the first variable (drops the a=0 row).
+
+        A nonzero a=0 row raises ``NotDivisibleError``.
+        """
         if self.rect.max_a < 1:
             raise ValueError("rectangle too small to divide by the first variable")
         for b, value in enumerate(self.coeff[0]):
             if value != 0:
-                raise ValueError(f"not divisible by z: nonzero coefficient at (0, {b})")
+                raise NotDivisibleError(f"not divisible by z: nonzero coefficient at (0, {b})")
         return BiSeries(self.coeff[1:])
 
     def div_z_plus_w(self, target: Rect) -> BiSeries:
@@ -375,7 +386,8 @@ class BiSeries:
         cells outside it.  Input rows 1 to target.max_a + target.max_b + 1 are
         read, in columns 0 to target.max_b, so the input must be padded to
         (target.max_a + target.max_b + 1, target.max_b) at least.
-        Divisibility is checked through the a=0 residual row.
+        Divisibility is checked through the a=0 residual row: a residual
+        raises ``NotDivisibleError``, too little padding a plain ``ValueError``.
         """
         need_a = target.max_a + target.max_b + 1
         if self.rect.max_a < need_a or self.rect.max_b < target.max_b:
@@ -389,10 +401,10 @@ class BiSeries:
             rows.append(tuple(map(sub, x[a + 1][:width], (0, *rows[-1][:-1]))))
         quotient = BiSeries(rows[::-1][: target.max_a + 1])
         if x[0][0] != 0:
-            raise ValueError("not divisible by z+w: nonzero constant term")
+            raise NotDivisibleError("not divisible by z+w: nonzero constant term")
         for n in range(1, width):
             if x[0][n] != quotient.coeff[0][n - 1]:
-                raise ValueError(f"not divisible by z+w: residual at (0, {n})")
+                raise NotDivisibleError(f"not divisible by z+w: residual at (0, {n})")
         return quotient
 
     def __repr__(self) -> str:

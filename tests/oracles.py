@@ -15,6 +15,8 @@ Every test double of the suite is defined here once:
   call time would find the patched binding and recurse;
 - ``corrupt_route`` shifts cell (0, 0) of a route's table as the verifier
   sees it;
+- ``corrupt_radical_root`` shifts a numerator of the radical route's
+  square root before its exact division;
 - ``times_one_plus_half_y`` stands in for the Lagrange route's step
   ``_times_phi`` with phi = 1 + y/2, whose powers are not integral;
 - ``cli_env`` is the environment of a CLI run in a subprocess.
@@ -28,7 +30,7 @@ from math import comb
 from pathlib import Path
 
 import kirkman
-from kirkman import verifier
+from kirkman import formulas, verifier
 from kirkman.series import BiSeries, Rect, poly
 from kirkman.verifier import closed_table
 
@@ -137,6 +139,20 @@ def corrupt_route(monkeypatch, route: str, delta, owner=verifier) -> None:
         return table + BiSeries.from_table(table.rect, {(0, 0): delta})
 
     monkeypatch.setattr(owner, route, corrupted)
+
+
+def corrupt_radical_root(monkeypatch, m: int, n: int, delta: int) -> None:
+    """Add ``delta`` to the numerator the radical route divides by m at root cell (m, n).
+
+    The route's integrality check of its finished table goes through the
+    same divider, with denominator 1, and passes on the shifted int.
+    """
+    divide = formulas._integral_quotient
+
+    def corrupted(num, den, p, a, b):
+        return divide(num + (delta if (a, b) == (m, n) else 0), den, p, a, b)
+
+    monkeypatch.setattr(formulas, "_integral_quotient", corrupted)
 
 
 def times_one_plus_half_y(g: tuple) -> tuple:

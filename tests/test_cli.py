@@ -25,7 +25,12 @@ from kirkman.cli import main
 from kirkman.series import BiSeries
 
 from oracles import (
-    cli_env, corrupt_route, corrupted_closed_table, record_calls, times_one_plus_half_y
+    cli_env,
+    corrupt_radical_root,
+    corrupt_route,
+    corrupted_closed_table,
+    record_calls,
+    times_one_plus_half_y,
 )
 
 
@@ -517,6 +522,21 @@ def test_integrality_failure_exits_1_with_one_line(monkeypatch, capsys, corrupt,
     assert code == 1
     assert out == ""
     assert err == f"kirkman {argv[0]}: integrality violated at p=1 {cell}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["expand", "--method", "radical", "--p", "1"], ["crosscheck", "--p", "1"]],
+    ids=["expand-radical", "crosscheck"],
+)
+def test_division_failure_exits_1_with_one_line(monkeypatch, capsys, argv):
+    # the root's cell (1, 0) one too large leaves the halved numerator the
+    # constant term -1/2, which z+w does not divide
+    corrupt_radical_root(monkeypatch, 1, 0, 1)
+    code, out, err = run([*argv, "--max-m", "2", "--max-n", "2"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"kirkman {argv[0]}: not divisible by z+w: nonzero constant term\n"
 
 
 # ---- a reader that stops early ----

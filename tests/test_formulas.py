@@ -24,7 +24,13 @@ from kirkman.series import BiSeries, Rect
 from kirkman.verifier import closed_table
 
 from oracles import (
-    catalan, corrupt_route, naive_mul, quadratic_residual, quadratic_table, record_calls
+    catalan,
+    corrupt_radical_root,
+    corrupt_route,
+    naive_mul,
+    quadratic_residual,
+    quadratic_table,
+    record_calls,
 )
 
 
@@ -175,9 +181,24 @@ def test_radical_equals_on_wide_window():
     assert fixpoint_series(window) == radical_series(window)
 
 
-def test_radical_equals_closed_table_on_40x40():
-    window = Rect(40, 40)
-    assert radical_series(window) == closed_table(1, window)
+@pytest.mark.parametrize(
+    "window",
+    [Rect(0, 0), Rect(1, 0), Rect(0, 1), Rect(0, 7), Rect(7, 0), Rect(20, 3), Rect(3, 20),
+     Rect(40, 40), Rect(80, 80)],
+    ids=lambda window: f"{window.max_a}x{window.max_b}",
+)
+def test_radical_equals_closed_table(window):
+    # a window with max_b = 0 truncates the root's row 0, 1 - w, to (1,)
+    table = radical_series(window)
+    assert all(type(value) is int for row in table.coeff for value in row)
+    assert table == closed_table(1, window)
+
+
+def test_radical_root_divides_each_cell_exactly(monkeypatch):
+    # 2 s_2 = 2 s_1 / (1-w)^2 is -12 at w^1; one more leaves a remainder
+    corrupt_radical_root(monkeypatch, 2, 1, 1)
+    with pytest.raises(ArithmeticError, match="integrality violated at p=1 m=2 n=1: -11/2$"):
+        radical_series(Rect(2, 2))
 
 
 def test_radical_quadratic_residual_vanishes():
@@ -303,6 +324,23 @@ def test_series_route_is_additions_only(monkeypatch):
     # the spies see the square root's power kernel and its product cells
     BiSeries.one(Rect(1, 1)).sqrt()
     assert calls
+
+
+def test_radical_route_takes_no_series_square_root(monkeypatch):
+    # the root comes from its own row recurrence in running sums: the route
+    # names and calls no product cell, power kernel or series square root
+    kernels = {"_power", "_product_cell", "sqrt"}
+    assert not _names(formulas.radical_series) & kernels
+    spies = {
+        name: record_calls(monkeypatch, name, owner)
+        for name, owner in (("_product_cell", series), ("_power", series), ("sqrt", BiSeries))
+    }
+    table = radical_series(Rect(12, 12))
+    assert not any(spies.values())
+    assert all(type(value) is int for row in table.coeff for value in row)
+    # the spies see the square root, its power kernel and its product cells
+    BiSeries.one(Rect(1, 1)).sqrt()
+    assert all(spies.values())
 
 
 def test_series_route_takes_no_series_power(monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 
 from kirkman import series as series_module
 from kirkman.formulas import fixpoint_series, power_series, radical_series
-from kirkman.series import BiSeries, Rect, _kronecker_product, _power, poly
+from kirkman.series import BiSeries, NotDivisibleError, Rect, _kronecker_product, _power, poly
 from kirkman.verifier import closed_table, convolution_lhs
 
 from oracles import naive_mul, random_series, record_calls
@@ -289,9 +289,14 @@ def test_mul_left_factor_with_zero_tail_rows(max_den):
 
 def test_radical_sqrt_reads_two_operand_rows(monkeypatch):
     # the radicand (1-w)^2 - 4z has degree 1 in z, so every product cell of
-    # its square root reads at most 2 rows of the left table
-    calls = record_calls(monkeypatch, "_product_cell", series_module)
+    # its square root reads at most 2 rows of the left table; the kernel's
+    # root is the one the radical route builds by its own row recurrence
+    subtractions = record_calls(monkeypatch, "__sub__", BiSeries)
     radical_series(Rect(24, 24))
+    [(_, root)] = subtractions  # 1 - w - 2z minus the root
+    calls = record_calls(monkeypatch, "_product_cell", series_module)
+    radicand = poly(root.rect, {(0, 0): 1, (0, 1): -2, (0, 2): 1, (1, 0): -4})
+    assert radicand.sqrt() == root
     assert calls and max(len(x) for x, *_ in calls) <= 2
 
 
@@ -332,6 +337,23 @@ def test_div_z_plus_w_insufficient_padding():
     x = BiSeries.from_table(Rect(2, 2), {(1, 0): 1, (0, 1): 1})
     with pytest.raises(ValueError, match="insufficient padding"):
         x.div_z_plus_w(Rect(2, 2))
+
+
+def test_a_division_that_does_not_go_is_a_disagreement():
+    # a residual is an ArithmeticError, as a remainder is, and still a
+    # ValueError; too little padding is the caller's error alone
+    divisions = [
+        lambda: BiSeries.from_table(Rect(1, 1), {(0, 1): 1}).div_z(),
+        lambda: BiSeries.from_table(Rect(2, 1), {(1, 0): 1}).div_z_plus_w(Rect(0, 1)),
+        lambda: BiSeries.one(Rect(2, 1)).div_z_plus_w(Rect(0, 1)),
+    ]
+    for divide in divisions:
+        with pytest.raises(NotDivisibleError, match="not divisible") as error:
+            divide()
+        assert isinstance(error.value, ValueError) and isinstance(error.value, ArithmeticError)
+    with pytest.raises(ValueError, match="insufficient padding") as error:
+        BiSeries.one(Rect(2, 2)).div_z_plus_w(Rect(2, 2))
+    assert not isinstance(error.value, ArithmeticError)
 
 
 def test_getitem_and_errors():
