@@ -74,6 +74,16 @@ def fixpoint_series(window: Rect) -> BiSeries:
     return power_series(1, window)
 
 
+def _root_cell(num: int, a: int, b: int) -> int:
+    # cell (a, b) of the radical route's square root, num / a asserted integral
+    try:
+        return _integral_quotient(num, a, 1, a, b)
+    except ArithmeticError:
+        raise ArithmeticError(
+            f"radical root not integral at z^{a} w^{b}: {Fraction(num, a)}"
+        ) from None
+
+
 def radical_series(window: Rect) -> BiSeries:
     """f on ``window`` from (1 - w - 2z - sqrt((1-w)^2 - 4z)) / (2z(z+w)).
 
@@ -86,17 +96,18 @@ def radical_series(window: Rect) -> BiSeries:
 
     so row a of the root is two running sums along w of row a-1, times
     2(2a-3), each cell divided exactly by a (a remainder raises
-    ``ArithmeticError`` naming the root's cell).  The numerator is built on
-    a padded rectangle, since dividing by (z+w) consumes max_b extra degrees
-    of z on top of the one consumed by the division by z.  The root's z^0
-    row is 1 - w, so the numerator's z^0 row cancels exactly.
+    ``ArithmeticError`` naming the root's cell z^a w^b, not a cell of f).
+    The numerator is built on a padded rectangle, since dividing by (z+w)
+    consumes max_b extra degrees of z on top of the one consumed by the
+    division by z.  The root's z^0 row is 1 - w, so the numerator's z^0 row
+    cancels exactly.
     """
     padded = Rect(window.max_a + window.max_b + 2, window.max_b)
     rows = [((1, -1) + (0,) * window.max_b)[: window.max_b + 1]]
     for a in range(1, padded.max_a + 1):
         k = 2 * (2 * a - 3)
         sums = accumulate(accumulate(rows[-1]))
-        rows.append(tuple(_integral_quotient(k * v, a, 1, a, b) for b, v in enumerate(sums)))
+        rows.append(tuple(_root_cell(k * v, a, b) for b, v in enumerate(sums)))
     numerator = poly(padded, {(0, 0): 1, (0, 1): -1, (1, 0): -2}) - BiSeries(rows)
     halved = numerator.div_z().scale(Fraction(1, 2))
     return _integral_table(halved.div_z_plus_w(window), 1)

@@ -142,17 +142,13 @@ def corrupt_route(monkeypatch, route: str, delta, owner=verifier) -> None:
 
 
 def corrupt_radical_root(monkeypatch, m: int, n: int, delta: int) -> None:
-    """Add ``delta`` to the numerator the radical route divides by m at root cell (m, n).
+    """Add ``delta`` to the numerator the radical route divides by m at root cell (m, n)."""
+    divide = formulas._root_cell
 
-    The route's integrality check of its finished table goes through the
-    same divider, with denominator 1, and passes on the shifted int.
-    """
-    divide = formulas._integral_quotient
+    def corrupted(num, a, b):
+        return divide(num + (delta if (a, b) == (m, n) else 0), a, b)
 
-    def corrupted(num, den, p, a, b):
-        return divide(num + (delta if (a, b) == (m, n) else 0), den, p, a, b)
-
-    monkeypatch.setattr(formulas, "_integral_quotient", corrupted)
+    monkeypatch.setattr(formulas, "_root_cell", corrupted)
 
 
 def times_one_plus_half_y(g: tuple) -> tuple:

@@ -539,6 +539,21 @@ def test_division_failure_exits_1_with_one_line(monkeypatch, capsys, argv):
     assert err == f"kirkman {argv[0]}: not divisible by z+w: nonzero constant term\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["expand", "--method", "radical", "--p", "1"], ["crosscheck", "--p", "1"]],
+    ids=["expand-radical", "crosscheck"],
+)
+def test_root_remainder_names_the_root_cell(monkeypatch, capsys, argv):
+    # the root's cell (2, 1) lies outside the 1x1 window: the message names
+    # it as a cell of the root, not of f
+    corrupt_radical_root(monkeypatch, 2, 1, 1)
+    code, out, err = run([*argv, "--max-m", "1", "--max-n", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"kirkman {argv[0]}: radical root not integral at z^2 w^1: -11/2\n"
+
+
 # ---- a reader that stops early ----
 
 
