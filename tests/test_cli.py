@@ -529,29 +529,24 @@ def test_integrality_failure_exits_1_with_one_line(monkeypatch, capsys, corrupt,
     [["expand", "--method", "radical", "--p", "1"], ["crosscheck", "--p", "1"]],
     ids=["expand-radical", "crosscheck"],
 )
-def test_division_failure_exits_1_with_one_line(monkeypatch, capsys, argv):
-    # the root's cell (1, 0) one too large leaves the halved numerator the
-    # constant term -1/2, which z+w does not divide
-    corrupt_radical_root(monkeypatch, 1, 0, 1)
-    code, out, err = run([*argv, "--max-m", "2", "--max-n", "2"], capsys)
-    assert code == 1
-    assert out == ""
-    assert err == f"kirkman {argv[0]}: not divisible by z+w: nonzero constant term\n"
-
-
 @pytest.mark.parametrize(
-    "argv",
-    [["expand", "--method", "radical", "--p", "1"], ["crosscheck", "--p", "1"]],
-    ids=["expand-radical", "crosscheck"],
+    "cell, size, message",
+    [
+        # the root's cell (1, 0) one too large leaves the halved numerator
+        # the constant term -1/2, which z+w does not divide
+        ((1, 0), "2", "not divisible by z+w: nonzero constant term"),
+        # the root's cell (2, 1) lies outside the 1x1 window: the message
+        # names it as a cell of the root, not of f
+        ((2, 1), "1", "radical root not integral at z^2 w^1: -11/2"),
+    ],
+    ids=["by-z-plus-w", "root-by-a"],
 )
-def test_root_remainder_names_the_root_cell(monkeypatch, capsys, argv):
-    # the root's cell (2, 1) lies outside the 1x1 window: the message names
-    # it as a cell of the root, not of f
-    corrupt_radical_root(monkeypatch, 2, 1, 1)
-    code, out, err = run([*argv, "--max-m", "1", "--max-n", "1"], capsys)
+def test_division_failure_exits_1_with_one_line(monkeypatch, capsys, argv, cell, size, message):
+    corrupt_radical_root(monkeypatch, *cell, 1)
+    code, out, err = run([*argv, "--max-m", size, "--max-n", size], capsys)
     assert code == 1
     assert out == ""
-    assert err == f"kirkman {argv[0]}: radical root not integral at z^2 w^1: -11/2\n"
+    assert err == f"kirkman {argv[0]}: {message}\n"
 
 
 # ---- a reader that stops early ----
