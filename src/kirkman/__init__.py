@@ -7,8 +7,11 @@ user-chosen ranges.  All arithmetic is exact: arbitrary-precision integers
 and rationals throughout.
 
 ``import kirkman`` loads no submodule: each public name is imported from
-its home module on first use (PEP 562), so a command pays only for the
-arithmetic it runs.
+its home module on first use (PEP 562), and ``ROUTES``, the one registry of
+the routes, reads each builder the same way when an entry is called.  So a
+command loads only the modules it runs: ``expand --method radical`` loads
+``series`` and ``formulas``, ``verify`` loads ``series`` and ``verifier``,
+and only ``crosscheck`` loads all four (``kirkman.cli`` lists every command).
 """
 
 from importlib import import_module
@@ -36,3 +39,15 @@ def __getattr__(name: str):
     if name not in _HOMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(import_module(f"{__name__}.{_HOMES[name]}"), name)
+
+
+# each route builds the table of f^p on a window, (p, window) -> table or None,
+# in crosscheck's column order; a builder is read through __getattr__ when it
+# is called, so only its home module loads and a patched or traced home binding
+# is the one that runs
+ROUTES = {
+    "closed": lambda p, window: __getattr__("closed_table")(p, window),
+    "series": lambda p, window: __getattr__("power_series")(p, window),
+    "lagrange": lambda p, window: __getattr__("lagrange_table")(p, window),
+    "radical": lambda p, window: __getattr__("radical_series")(window) if p == 1 else None,
+}

@@ -5,8 +5,13 @@ found, 2 usage error; a reader closing the pipe early ends it quietly by
 SIGPIPE, as it ends ``cat`` (shell status 141).  Data goes to stdout,
 diagnostics to stderr.  All numbers are printed in full decimal expansion,
 and rows in blocks of about 64 KiB of whole lines, one write each: every row
-exists before the first block is written, so blocking delays nothing.  Each
-handler imports the arithmetic it runs: ``--help`` and parse errors load none.
+exists before the first block is written, so blocking delays nothing.
+
+Each handler imports only the arithmetic it runs.  ``--help`` and parse
+errors load no arithmetic module; ``coeff`` loads ``formulas`` and
+``series``; ``expand`` loads ``series`` and the home module of its route's
+builder, which ``kirkman.ROUTES`` reads when called; ``verify`` loads
+``verifier`` and ``series``; ``crosscheck`` loads all four.
 """
 
 from __future__ import annotations
@@ -17,11 +22,12 @@ import sys
 from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
 
+from . import ROUTES
+
 EXIT_OK = 0
 EXIT_DISAGREEMENT = 1
 
 FORMATS = ("pretty", "csv", "json-lines")
-METHODS = ("closed", "series", "lagrange", "radical")  # as verifier.ROUTES, without its import
 _BLOCK_CHARS = 1 << 16  # a block of output lines is written once it holds this many characters
 
 
@@ -58,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     expand.add_argument("--p", type=_int_at_least(1), required=True)
     expand.add_argument("--max-m", type=_int_at_least(0), required=True)
     expand.add_argument("--max-n", type=_int_at_least(0), required=True)
-    expand.add_argument("--method", choices=METHODS, default="closed")
+    expand.add_argument("--method", choices=ROUTES, default="closed")
     expand.set_defaults(handler=_cmd_expand)
 
     verify = sub.add_parser("verify", help="sweep the convolution identity")
@@ -173,9 +179,8 @@ def _cmd_coeff(args: argparse.Namespace) -> int:
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
-    from . import verifier
     from .series import Rect
-    table = verifier.ROUTES[args.method](args.p, Rect(args.max_m, args.max_n))
+    table = ROUTES[args.method](args.p, Rect(args.max_m, args.max_n))
     if table is None:
         args.parser.error(f"--method {args.method} is only defined for --p 1")
     cells = ((m, n, v) for m, row in enumerate(table.coeff) for n, v in enumerate(row))
@@ -230,7 +235,7 @@ def _cmd_crosscheck(args: argparse.Namespace) -> int:
             print(f"FAIL p={args.p}: disagreement at m={first.m} n={first.n}: {shown}")
     else:
         rows = ((r.m, r.n, *r.values.values(), r.agree) for r in reports)
-        _emit_rows(args.format, ("m", "n", *verifier.ROUTES, "agree"), rows)
+        _emit_rows(args.format, ("m", "n", *ROUTES, "agree"), rows)
     return EXIT_OK if all_agree else EXIT_DISAGREEMENT
 
 

@@ -26,10 +26,9 @@ only adds ints.  No route reads another route's table.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import accumulate
 
-from .series import BiSeries, Rect, _check_power, _integral_quotient, poly
+from .series import BiSeries, Rect, _check_power, _integral_quotient, _quotient, poly
 
 
 def binomial(a: int, b: int) -> int:
@@ -79,6 +78,7 @@ def _root_cell(num: int, a: int, b: int) -> int:
     try:
         return _integral_quotient(num, a, 1, a, b)
     except ArithmeticError:
+        from fractions import Fraction
         raise ArithmeticError(
             f"radical root not integral at z^{a} w^{b}: {Fraction(num, a)}"
         ) from None
@@ -109,7 +109,8 @@ def radical_series(window: Rect) -> BiSeries:
         sums = accumulate(accumulate(rows[-1]))
         rows.append(tuple(_root_cell(k * v, a, b) for b, v in enumerate(sums)))
     numerator = poly(padded, {(0, 0): 1, (0, 1): -1, (1, 0): -2}) - BiSeries(rows)
-    halved = numerator.div_z().scale(Fraction(1, 2))
+    # an odd cell halves to a Fraction, which _integral_table reports
+    halved = BiSeries((_quotient(v, 2) for v in row) for row in numerator.div_z().coeff)
     return _integral_table(halved.div_z_plus_w(window), 1)
 
 

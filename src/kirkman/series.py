@@ -15,7 +15,8 @@ divides by 1, ``scale`` and the powers) goes through one divider,
 Addition, subtraction and products need no normalising: integer cells give
 integer cells, and mixed int/Fraction arithmetic stays exact.  A table built
 from integers therefore holds only ints unless some division in it leaves a
-remainder.
+remainder, and ``fractions`` is imported only for such a value (or by
+``scale``), so integer arithmetic never loads it.
 
 One kernel, ``_power``, fills a power s = x^(num/den) of an x with
 x[0,0] != 0 (``reciprocal`` and ``sqrt``; no route runs either) by
@@ -40,9 +41,9 @@ substitution): each table is packed into one decimal number, one slot of
 fixed width per cell, and the ``decimal`` module multiplies such numbers by
 a number-theoretic transform, about five times faster than CPython's binary
 Karatsuba multiplies ints of the same size at the sweep's sizes.  Only the
-identity sweep uses it.  The power kernel keeps ``_product_cell``: each of
-its cells needs cells of the result filled before it, so it takes its
-products one cell at a time.
+identity sweep uses it, and only it imports ``decimal``.  The power kernel
+keeps ``_product_cell``: each of its cells needs cells of the result filled
+before it, so it takes its products one cell at a time.
 
 The constructor freezes the rows it is given, so a value is immutable once
 built, and every operation is a pure function: instances may be shared
@@ -51,23 +52,33 @@ freely between threads.
 
 from __future__ import annotations
 
-from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, InvalidOperation, Rounded
-from fractions import Fraction
 from itertools import accumulate
 from operator import add, mul, sub
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import (
+    TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+)
 
-Scalar = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+# a cell's type; fractions is imported only where a value is not an integer
+Scalar = Union[int, "Fraction"]
 
 
 def _quotient(num: Scalar, den: Scalar) -> Scalar:
     # num / den as an int when integral and as a Fraction only when not: an
     # int over an int builds a Fraction only for a remainder, a Fraction over
-    # 1 is kept as it is, and any other num is converted exactly
+    # 1 is kept as it is, and any other num is converted exactly; fractions
+    # is imported only past the integer case, and as a module, since ``from
+    # fractions import Fraction`` would cost about 1 us more a call
     if type(num) is int and type(den) is int:
         q, r = divmod(num, den)
-        return Fraction(num, den) if r else q
-    num = num if isinstance(num, Fraction) else Fraction(num)
+        if not r:
+            return q
+        import fractions
+        return fractions.Fraction(num, den)
+    import fractions
+    num = num if isinstance(num, fractions.Fraction) else fractions.Fraction(num)
     q = num if den == 1 else num / den
     return q.numerator if q.denominator == 1 else q
 
@@ -171,6 +182,7 @@ def _kronecker_product(x: BiSeries, y: BiSeries) -> BiSeries:
     # the truncated product x * y of two tables of non-negative ints, as one
     # exact multiplication: cell (i, j) of a table becomes the decimal slot
     # i * stride + j, each slot ``width`` digits wide
+    from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, InvalidOperation, Rounded
     x._require_same_rect(y)
     max_a, max_b = x.rect
     # a product row reaches w^(2 max_b), so a row of slots never spills into the next
@@ -301,6 +313,7 @@ class BiSeries:
         return self._cellwise(sub, other)
 
     def scale(self, factor: Scalar) -> BiSeries:
+        from fractions import Fraction
         num, den = Fraction(factor).as_integer_ratio()
         return BiSeries((_quotient(num * v, den) for v in r) for r in self.coeff)
 

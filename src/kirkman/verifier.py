@@ -18,10 +18,9 @@ f^r f^s = f^(r+s) is tested separately as an invariant.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
-from .formulas import power_series, radical_series
-from .lagrange import lagrange_table
+from . import ROUTES
 from .series import (
     BiSeries, Rect, Scalar, _check_power, _integral_quotient, _kronecker_product, _product_cell
 )
@@ -95,16 +94,6 @@ def convolution_lhs(x: BiSeries, y: BiSeries, M: int, N: int) -> int:
     return _product_cell(x.coeff, y.coeff, M, N)
 
 
-# each route builds the table of f^p on a window, in crosscheck's column order;
-# builders are looked up when called, so a patched or traced binding is the one that runs
-ROUTES: dict[str, Callable[[int, Rect], Optional[BiSeries]]] = {
-    "closed": lambda p, window: closed_table(p, window),
-    "series": lambda p, window: power_series(p, window),
-    "lagrange": lambda p, window: lagrange_table(p, window),
-    "radical": lambda p, window: radical_series(window) if p == 1 else None,
-}
-
-
 def sweep_cells(
     r: int, s: int, max_M: int, max_N: int
 ) -> Iterator[tuple[int, int, int, int]]:
@@ -139,7 +128,7 @@ def verify_cayley(max_M: int) -> VerifyReport:
 
 
 def cross_check_methods(p: int, max_m: int, max_n: int) -> list[CoeffReport]:
-    """Compute every cell of the (max_m, max_n) window on all ROUTES.
+    """Compute every cell of the (max_m, max_n) window on all ``kirkman.ROUTES``.
 
     Each route builds its table once, and the tables are read together row
     by row; one that does not exist for p reads as a table of None.

@@ -13,8 +13,9 @@ Every test double of the suite is defined here once:
   large.  It calls the ``closed_table`` bound when this module is imported:
   the tests patch ``kirkman.verifier.closed_table`` with it, so a lookup at
   call time would find the patched binding and recurse;
-- ``corrupt_route`` shifts cell (0, 0) of a route's table as the verifier
-  sees it;
+- ``corrupt_route`` shifts cell (0, 0) of a route's table as every command
+  sees it: it patches the builder in its home module, the binding that
+  ``kirkman.ROUTES`` reads when called;
 - ``corrupt_radical_root`` shifts a numerator of the radical route's
   square root before its exact division;
 - ``times_one_plus_half_y`` stands in for the Lagrange route's step
@@ -26,11 +27,12 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from importlib import import_module
 from math import comb
 from pathlib import Path
 
 import kirkman
-from kirkman import formulas, verifier
+from kirkman import formulas
 from kirkman.series import BiSeries, Rect, poly
 from kirkman.verifier import closed_table
 
@@ -130,8 +132,13 @@ def corrupted_closed_table(p: int, window: Rect) -> BiSeries:
     return table
 
 
-def corrupt_route(monkeypatch, route: str, delta, owner=verifier) -> None:
-    """Shift cell (0, 0) of the table ``owner.<route>`` returns by ``delta``."""
+def corrupt_route(monkeypatch, route: str, delta, owner=None) -> None:
+    """Shift cell (0, 0) of the table ``owner.<route>`` returns by ``delta``.
+
+    ``owner`` defaults to the home module of ``kirkman.<route>``.
+    """
+    if owner is None:
+        owner = import_module(getattr(kirkman, route).__module__)
     original = getattr(owner, route)
 
     def corrupted(*args):

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import kirkman
 import kirkman.cli as cli_module
 import kirkman.verifier as verifier_module
 from kirkman import lagrange
@@ -226,7 +227,7 @@ def test_expand_radical_rejected_for_higher_powers(capsys):
     assert "radical" in err
 
 
-@pytest.mark.parametrize("method", verifier_module.ROUTES)
+@pytest.mark.parametrize("method", kirkman.ROUTES)
 def test_expand_matches_closed(capsys, method):
     p = "1" if method == "radical" else "2"
     base = ["--p", p, "--max-m", "2", "--max-n", "2", "--format", "csv"]
@@ -236,7 +237,7 @@ def test_expand_matches_closed(capsys, method):
     assert method_out == closed_out
 
 
-@pytest.mark.parametrize("method", verifier_module.ROUTES)
+@pytest.mark.parametrize("method", kirkman.ROUTES)
 def test_expand_max_m_0_is_row_0(capsys, method):
     # row 0 of f^p is (1-w)^-p: C(n+1, 1) = n+1 for p = 2, and 1 for p = 1
     p = 1 if method == "radical" else 2
@@ -270,12 +271,12 @@ def test_expand_json_lines(capsys):
 
 
 def test_expand_method_choices_are_the_routes(capsys):
-    # cli names the routes itself, so that parsing imports no arithmetic;
-    # renaming or reordering a route on one side only must fail here
+    # expand's choices are the one registry's names, in crosscheck's column
+    # order; the registry imports no arithmetic, so parsing loads none
     with pytest.raises(SystemExit):
         main(["expand", "--help"])
-    assert f"--method {{{','.join(verifier_module.ROUTES)}}}" in capsys.readouterr().out
-    assert cli_module.METHODS == tuple(verifier_module.ROUTES)
+    assert f"--method {{{','.join(kirkman.ROUTES)}}}" in capsys.readouterr().out
+    assert tuple(kirkman.ROUTES) == ("closed", "series", "lagrange", "radical")
 
 
 # ---- verify ----
@@ -465,7 +466,8 @@ def test_verify_csv_prints_every_row_up_to_the_counterexample(monkeypatch, capsy
     assert out == "M,N,lhs,rhs,status\n0,0,1,1,ok\n0,1,2,2,ok\n0,2,3,3,ok\n1,0,4,5,fail\n"
 
 
-@pytest.mark.parametrize(
+# each route's builder and its name in kirkman.ROUTES
+ROUTE_BUILDERS = pytest.mark.parametrize(
     "route, name",
     [
         ("lagrange_table", "lagrange"),
@@ -475,6 +477,9 @@ def test_verify_csv_prints_every_row_up_to_the_counterexample(monkeypatch, capsy
     ],
     ids=["lagrange", "power_series", "radical_series", "closed_table"],
 )
+
+
+@ROUTE_BUILDERS
 def test_crosscheck_exits_1_naming_routes(monkeypatch, capsys, route, name):
     corrupt_route(monkeypatch, route, 7)
     code, out, _ = run(["crosscheck", "--p", "1", "--max-m", "1", "--max-n", "1"], capsys)
@@ -482,6 +487,19 @@ def test_crosscheck_exits_1_naming_routes(monkeypatch, capsys, route, name):
     assert out.startswith("FAIL")
     for label in ("closed", "series", "lagrange", "radical"):
         assert f"{label}={8 if label == name else 1}" in out
+
+
+@ROUTE_BUILDERS
+def test_expand_prints_the_corrupted_route(monkeypatch, capsys, route, name):
+    # expand reads each builder where crosscheck does, in its home module
+    corrupt_route(monkeypatch, route, 7)
+    code, out, _ = run(
+        ["expand", "--p", "1", "--max-m", "1", "--max-n", "1", "--method", name,
+         "--format", "csv"],
+        capsys,
+    )
+    assert code == 0
+    assert out == "m,n,coefficient\n0,0,8\n0,1,1\n1,0,2\n1,1,5\n"
 
 
 def test_crosscheck_json_lines_renders_non_integer_as_fraction(monkeypatch, capsys):
@@ -599,11 +617,33 @@ def test_closed_pipe_ends_quietly_when_the_output_is_still_buffered():
 # module, not run as __main__, with the arguments read from sys.argv
 CONSOLE_SCRIPT = "import sys; from kirkman.cli import main; sys.exit(main())"
 # prints, as the last line of stdout, every kirkman module the command loaded
+# and whichever of the standard modules fractions and decimal it loaded
 SHOW_MODULES = (
-    "import atexit, sys; atexit.register(lambda: print("
-    "*sorted(name for name in sys.modules if name.split('.')[0] == 'kirkman')))"
+    "import atexit, sys; atexit.register(lambda: print(*sorted("
+    "name for name in sys.modules"
+    " if name.split('.')[0] == 'kirkman' or name in ('fractions', 'decimal'))))"
 )
+CLI = {"kirkman", "kirkman.cli"}
 ARITHMETIC = {"kirkman.formulas", "kirkman.lagrange", "kirkman.series", "kirkman.verifier"}
+
+
+def _shown_modules(argv, code):
+    # the last line SHOW_MODULES prints, after the console script runs argv
+    # (after nothing at all when argv is None)
+    script = SHOW_MODULES if argv is None else f"{SHOW_MODULES}; {CONSOLE_SCRIPT}"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *(argv or [])],
+        capture_output=True, text=True, env=cli_env(), timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+@pytest.fixture(scope="module")
+def preloaded():
+    # what a bare interpreter loads in the same environment: site may preload
+    # fractions or decimal, and a module it loads cannot be shown absent
+    return _shown_modules(None, 0)
 
 
 def test_console_script_prints_a_coefficient():
@@ -614,23 +654,29 @@ def test_console_script_prints_a_coefficient():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "5\n", "")
 
 
+WINDOW = ["--max-m", "2", "--max-n", "2"]
+
+
 @pytest.mark.parametrize(
-    "argv, code, unloaded",
+    "argv, code, loads",
     [
-        (["--help"], 0, ARITHMETIC),
-        (["verify", "--help"], 0, ARITHMETIC),
-        (["expand", "--p", "1", "--max-m", "2", "--max-n", "2", "--method", "foo"], 2, ARITHMETIC),
-        (["coeff", "--p", "1", "--m", "1", "--n", "1"], 0, {"kirkman.lagrange", "kirkman.verifier"}),
+        (["--help"], 0, CLI),
+        (["verify", "--help"], 0, CLI),
+        (["expand", "--p", "1", *WINDOW, "--method", "foo"], 2, CLI),
+        (["coeff", "--p", "1", "--m", "1", "--n", "1"], 0,
+         CLI | {"kirkman.formulas", "kirkman.series"}),
+        (["expand", "--p", "1", *WINDOW, "--method", "radical", "--format", "csv"], 0,
+         CLI | {"kirkman.formulas", "kirkman.series"}),
+        # the route refuses p = 2 before reading its builder
+        (["expand", "--p", "2", *WINDOW, "--method", "radical"], 2, CLI | {"kirkman.series"}),
+        (["verify", "--r", "1", "--s", "1", "--max-M", "2", "--max-N", "2", "--format", "csv"], 0,
+         CLI | {"kirkman.series", "kirkman.verifier", "decimal"}),
+        (["crosscheck", "--p", "1", *WINDOW], 0, CLI | ARITHMETIC),
     ],
-    ids=["help", "verify-help", "usage-error", "coeff"],
+    ids=["help", "verify-help", "usage-error", "coeff", "expand-radical", "expand-radical-p2",
+         "verify-csv", "crosscheck"],
 )
-def test_a_command_loads_only_the_arithmetic_it_runs(argv, code, unloaded):
-    # only kirkman's own modules are compared: site may preload others
-    proc = subprocess.run(
-        [sys.executable, "-c", f"{SHOW_MODULES}; {CONSOLE_SCRIPT}", *argv],
-        capture_output=True, text=True, env=cli_env(), timeout=60,
-    )
-    assert proc.returncode == code, proc.stderr
-    loaded = set(proc.stdout.splitlines()[-1].split())
-    assert {"kirkman", "kirkman.cli"} <= loaded
-    assert not loaded & unloaded
+def test_a_command_loads_only_the_arithmetic_it_runs(preloaded, argv, code, loads):
+    # exactly the kirkman modules the command runs, and fractions or decimal
+    # only where it needs them, beyond what the bare interpreter loaded
+    assert _shown_modules(argv, code) - preloaded == loads - preloaded
