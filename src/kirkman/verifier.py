@@ -8,12 +8,14 @@ where c_p(m, n) is the closed-form coefficient of [z^m w^n] f^p.  The r = s
 = 1 case is Kirkman's hypothesis, and its N = 0 restriction is Cayley's
 case.  A sweep builds the closed-form table of each distinct power among r,
 s and p once (two when r = s; by term ratios), takes every left side as the
-exact truncated product of the tables of c_r and c_s (one decimal
-multiplication, ``series._kronecker_product``) and reads the right side
-from the table of c_p.  Both factors are closed-form tables and no
-series power enters, so a sweep is a genuine check of the identity rather
-than a tautology of series arithmetic; the series-level fact
-f^r f^s = f^(r+s) is tested separately as an invariant.
+exact truncated product of the tables of c_r and c_s, packed into decimal
+slots sized by the product's cells inside the window, with a zero guard
+after each row, in one decimal multiplication or two split after a row
+(``series._kronecker_product``), and reads the right side from the table
+of c_p.  Both factors are closed-form tables and no series power enters,
+so a sweep is a genuine check of the identity rather than a tautology of
+series arithmetic; the series-level fact f^r f^s = f^(r+s) is tested
+separately as an invariant.
 """
 
 from __future__ import annotations

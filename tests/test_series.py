@@ -10,7 +10,10 @@ import pytest
 
 from kirkman import series as series_module
 from kirkman.formulas import fixpoint_series, power_series, radical_series
-from kirkman.series import BiSeries, NotDivisibleError, Rect, _kronecker_product, _power, poly
+from kirkman.series import (
+    BiSeries, NotDivisibleError, Rect, _kronecker_product, _power, _slot_layout, _split_cost,
+    _split_row, poly
+)
 from kirkman.verifier import closed_table, convolution_lhs
 
 from oracles import naive_mul, random_series, record_calls
@@ -599,3 +602,91 @@ def test_kronecker_product_rejects_cells_that_are_not_non_negative_ints(bad):
         _kronecker_product(bad_table, good)
     with pytest.raises(ValueError, match="non-negative int"):
         _kronecker_product(good, bad_table)
+
+
+# ---- the packed product's slot width, row guard and row split ----
+
+
+def _row_split(x, y):
+    return _split_row(x.rect.max_a + 1, _slot_layout(x, y)[1])
+
+
+def _filling_table(rect, b, c):
+    # column max_b at 2^b - 1 and every other cell at 2^c - 1: with b > c a
+    # target slot pairs a wide cell with a narrow one, and the garbage
+    # slot 2 max_b pairs two wide ones
+    return BiSeries([[2**c - 1] * rect.max_b + [2**b - 1]] * (rect.max_a + 1))
+
+
+_R48 = Rect(48, 48)
+
+
+@pytest.mark.parametrize(
+    "build, split",
+    [
+        (lambda: (closed_table(2, _R48), closed_table(3, _R48)), True),
+        (lambda: (closed_table(2, Rect(12, 12)), closed_table(3, Rect(12, 12))), False),
+        *(
+            (lambda r=rect: tuple(_random_int_table(random.Random(s), r, 15) for s in (1, 2)), True)
+            for rect in (Rect(100, 30), Rect(30, 100))
+        ),
+    ],
+    ids=["c2*c3-48x48", "c2*c3-12x12", "random-100x30", "random-30x100"],
+)
+def test_kronecker_product_with_and_without_its_row_split(build, split):
+    x, y = build()
+    _assert_packed_product_is_cellwise(x, y)
+    assert bool(_row_split(x, y)) is split
+
+
+@pytest.mark.parametrize(
+    "rect, b, c, split",
+    [
+        (Rect(1, 1), 10, 2, False),
+        (Rect(6, 1), 9, 2, False),
+        (Rect(6, 1), 4612, 3, True),
+        (Rect(12, 12), 4, 4, False),
+        (Rect(0, 7), 4, 4, False),
+        (Rect(7, 0), 4, 4, False),
+        (Rect(2000, 0), 2, 2, False),
+    ],
+)
+def test_kronecker_product_fills_its_slot_width_and_row_guard(rect, b, c, split):
+    x = _filling_table(rect, b, c)
+    _assert_packed_product_is_cellwise(x, x)
+    assert bool(_row_split(x, x)) is split
+    width, stride = _slot_layout(x, x)
+    # the widest target needs every digit of its slot, so a slot one digit
+    # narrower would carry into the next
+    assert max(map(max, _kronecker_product(x, x).coeff)) >= 10 ** (width - 1)
+    if rect.max_a and 0 < rect.max_b < 12:
+        # a product row below a target row, garbage included, needs every
+        # digit of its stride, so a guard one digit narrower would carry
+        # into the next row's first target.  From max_b = 12 on no table
+        # can: a row then stays under a tenth of what its stride holds.
+        slots = [sum(v * 10 ** (width * j) for j, v in enumerate(row)) for row in x.coeff]
+        widest = max(sum(slots[i] * slots[a - i] for i in range(a + 1)) for a in range(rect.max_a))
+        assert widest >= 10 ** (stride - 1)
+
+
+def test_split_row_costs_no_more_than_one_product():
+    # the chooser's few candidates find the least modeled cost among all
+    # rows whose operands stay past libmpdec's schoolbook size
+    for rows in (1, 2, 7, 13, 25, 49, 81, 101):
+        for stride in (1, 20, 503, 1821, 4865, 6999, 18542, 65068):
+            h = _split_row(rows, stride)
+            cost = _split_cost(rows, stride, h)
+            assert cost <= _split_cost(rows, stride, 0)
+            allowed = [k for k in range(1, rows) if min(k, rows - k) * stride > 256 * 19]
+            assert cost == min(_split_cost(rows, stride, k) for k in [0, *allowed])
+
+
+def test_split_row_splits_at_48x48_not_at_12x12_or_one_row():
+    def stride(p, q, rect):
+        return _slot_layout(closed_table(p, rect), closed_table(q, rect))[1]
+
+    assert _split_row(13, stride(2, 3, Rect(12, 12))) == 0
+    assert _split_row(49, stride(2, 3, _R48)) > 0
+    assert _split_row(49, stride(1, 4, _R48)) > 0
+    for stride_digits in (1, 6999, 10**6):
+        assert _split_row(1, stride_digits) == 0
