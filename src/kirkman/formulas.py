@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from itertools import accumulate
 
-from .series import BiSeries, Rect, _check_power, _integral_quotient, _quotient, poly
+from .series import BiSeries, Rect, _check_power, _integral_quotient, _quotient
 
 
 def binomial(a: int, b: int) -> int:
@@ -75,13 +75,11 @@ def fixpoint_series(window: Rect) -> BiSeries:
 
 def _root_cell(num: int, a: int, b: int) -> int:
     # cell (a, b) of the radical route's square root, num / a asserted integral
-    try:
-        return _integral_quotient(num, a, 1, a, b)
-    except ArithmeticError:
+    q, r = divmod(num, a)
+    if r:
         from fractions import Fraction
-        raise ArithmeticError(
-            f"radical root not integral at z^{a} w^{b}: {Fraction(num, a)}"
-        ) from None
+        raise ArithmeticError(f"radical root not integral at z^{a} w^{b}: {Fraction(num, a)}")
+    return q
 
 
 def radical_series(window: Rect) -> BiSeries:
@@ -97,21 +95,21 @@ def radical_series(window: Rect) -> BiSeries:
     so row a of the root is two running sums along w of row a-1, times
     2(2a-3), each cell divided exactly by a (a remainder raises
     ``ArithmeticError`` naming the root's cell z^a w^b, not a cell of f).
-    The numerator is built on a padded rectangle, since dividing by (z+w)
-    consumes max_b extra degrees of z on top of the one consumed by the
-    division by z.  The root's z^0 row is 1 - w, so the numerator's z^0 row
-    cancels exactly.
+    One pass over a = 1 ... max_a + max_b + 2 keeps only the previous root
+    row and appends row a-1 of (1 - w - 2z - s) / 2z, which is row a of the
+    numerator with each cell halved.  The numerator's z^0 row cancels,
+    since s_0 is 1 - w, and is never formed.  The pass runs max_b + 1 rows
+    past the window because the division by (z+w) reads them.
     """
-    padded = Rect(window.max_a + window.max_b + 2, window.max_b)
-    rows = [((1, -1) + (0,) * window.max_b)[: window.max_b + 1]]
-    for a in range(1, padded.max_a + 1):
-        k = 2 * (2 * a - 3)
-        sums = accumulate(accumulate(rows[-1]))
-        rows.append(tuple(_root_cell(k * v, a, b) for b, v in enumerate(sums)))
-    numerator = poly(padded, {(0, 0): 1, (0, 1): -1, (1, 0): -2}) - BiSeries(rows)
-    # an odd cell halves to a Fraction, which _integral_table reports
-    halved = BiSeries((_quotient(v, 2) for v in row) for row in numerator.div_z().coeff)
-    return _integral_table(halved.div_z_plus_w(window), 1)
+    zero = (0,) * (window.max_b + 1)
+    root, rows = (1, -1, *zero)[: len(zero)], []
+    for a in range(1, window.max_a + window.max_b + 3):
+        sums = accumulate(accumulate(root))
+        root = tuple(_root_cell(2 * (2 * a - 3) * v, a, b) for b, v in enumerate(sums))
+        # an odd cell halves to a Fraction, which _integral_table reports
+        u = (-2, *zero[1:]) if a == 1 else zero  # row a of 1 - w - 2z
+        rows.append(tuple(_quotient(x - y, 2) for x, y in zip(u, root)))
+    return _integral_table(BiSeries(rows).div_z_plus_w(window), 1)
 
 
 def power_series(p: int, window: Rect) -> BiSeries:

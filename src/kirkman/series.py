@@ -8,15 +8,15 @@ arithmetic on the window is exact for the represented terms.  Variables are
 positional; the same type serves series in (z, w) and in (y, w).
 
 Cells are ``int`` or ``Fraction``.  Every division (construction, which
-divides by 1, ``scale`` and the powers) goes through one divider,
+divides by 1, and the powers) goes through one divider,
 ``_quotient``: it stores a plain ``int`` when the result is an integer and a
 ``Fraction`` only when it is not, and it divides an int by an int by
 ``divmod``, so an integer quotient never passes through a ``Fraction``.
 Addition, subtraction and products need no normalising: integer cells give
 integer cells, and mixed int/Fraction arithmetic stays exact.  A table built
 from integers therefore holds only ints unless some division in it leaves a
-remainder, and ``fractions`` is imported only for such a value (or by
-``scale``), so integer arithmetic never loads it.
+remainder, and ``fractions`` is imported only for such a value, so integer
+arithmetic never loads it.
 
 One kernel, ``_power``, fills a power s = x^(num/den) of an x with
 x[0,0] != 0 (``reciprocal`` and ``sqrt``; no route runs either) by
@@ -421,11 +421,6 @@ class BiSeries:
     def __sub__(self, other: BiSeries) -> BiSeries:
         return self._cellwise(sub, other)
 
-    def scale(self, factor: Scalar) -> BiSeries:
-        from fractions import Fraction
-        num, den = Fraction(factor).as_integer_ratio()
-        return BiSeries((_quotient(num * v, den) for v in r) for r in self.coeff)
-
     def __mul__(self, other: BiSeries) -> BiSeries:
         """Truncated product: cell (a, b) is sum of x[i,j] * y[a-i,b-j].
 
@@ -504,9 +499,10 @@ class BiSeries:
         so each quotient row is one input row less the row above it shifted
         one place in the second variable: q[a] = x[a+1] - (0, q[a+1][:-1]).
         Rows are filled from a = target.max_a + target.max_b down to 0, the
-        first from a zero row above it; the rows above the target only feed
-        cells outside it.  Input rows 1 to target.max_a + target.max_b + 1 are
-        read, in columns 0 to target.max_b, so the input must be padded to
+        first from a zero row above it, with one row in hand; the rows above
+        the target only feed cells outside it and are not kept.  Input rows 1
+        to target.max_a + target.max_b + 1 are read, in columns 0 to
+        target.max_b, so the input must be padded to
         (target.max_a + target.max_b + 1, target.max_b) at least.
         Divisibility is checked through the a=0 residual row: a residual
         raises ``NotDivisibleError``, too little padding a plain ``ValueError``.
@@ -518,16 +514,17 @@ class BiSeries:
                 f"of at least ({need_a}, {target.max_b}), got {self.rect}"
             )
         x, width = self.coeff, target.max_b + 1
-        rows = [(0,) * width]
+        row, rows = (0,) * width, []
         for a in range(need_a - 1, -1, -1):
-            rows.append(tuple(map(sub, x[a + 1][:width], (0, *rows[-1][:-1]))))
-        quotient = BiSeries(rows[::-1][: target.max_a + 1])
+            row = tuple(map(sub, x[a + 1][:width], (0, *row[:-1])))
+            if a <= target.max_a:
+                rows.append(row)
         if x[0][0] != 0:
             raise NotDivisibleError("not divisible by z+w: nonzero constant term")
         for n in range(1, width):
-            if x[0][n] != quotient.coeff[0][n - 1]:
+            if x[0][n] != row[n - 1]:
                 raise NotDivisibleError(f"not divisible by z+w: residual at (0, {n})")
-        return quotient
+        return BiSeries(reversed(rows))
 
     def __repr__(self) -> str:
         return f"<BiSeries on {self.rect}>"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import inspect
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
@@ -199,6 +200,25 @@ def test_radical_root_divides_each_cell_exactly(monkeypatch):
     corrupt_radical_root(monkeypatch, 2, 1, 1)
     with pytest.raises(ArithmeticError, match=r"^radical root not integral at z\^2 w\^1: -11/2$"):
         radical_series(Rect(2, 2))
+
+
+def _traced_peak(build) -> int:
+    # the largest traced allocation total while ``build`` runs, in bytes
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_radical_route_peak_memory_is_a_few_closed_tables():
+    # the route keeps one root row and one halved numerator table, and the
+    # division by z+w keeps only the window's rows
+    window = Rect(120, 120)
+    closed = _traced_peak(lambda: closed_table(1, window))
+    radical = _traced_peak(lambda: radical_series(window))
+    assert radical <= 5 * closed, radical / closed
 
 
 def test_radical_quadratic_residual_vanishes():

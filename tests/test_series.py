@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from kirkman import formulas
 from kirkman import series as series_module
 from kirkman.formulas import fixpoint_series, power_series, radical_series
 from kirkman.series import (
@@ -76,7 +77,7 @@ def test_from_table_index_out_of_rectangle():
         BiSeries.from_table(Rect(1, 1), {(2, 0): 1})
 
 
-def test_add_sub_scale():
+def test_add_sub():
     rect = Rect(1, 1)
     one = BiSeries.one(rect)
     z = BiSeries.from_table(rect, {(1, 0): 1})
@@ -85,10 +86,6 @@ def test_add_sub_scale():
 
     x = BiSeries.from_table(rect, {(0, 0): 3, (1, 1): -2})
     assert x - x == BiSeries.zero(rect)
-
-    zw = BiSeries.from_table(rect, {(1, 0): 1, (0, 1): 1})
-    half = zw.scale(Fraction(1, 2))
-    assert half[1, 0] == Fraction(1, 2) and half[0, 1] == Fraction(1, 2)
 
 
 def test_add_rectangle_mismatch():
@@ -221,15 +218,16 @@ def test_sqrt_roundtrip_random():
         assert root * root == x
 
 
-def _rows_0_and_2(rng, max_den):
+def _rows_0_and_2(rng, max_den, constant=1):
     # nonzero only in rows 0 and 2 of a 7-row window: an interior zero row
-    # (row 1) and four trailing zero rows; max_den = 1 gives int cells
+    # (row 1) and four trailing zero rows, every entry times ``constant`` and
+    # the constant term ``constant``; max_den = 1 gives int cells
     entries = {
-        (a, b): Fraction(rng.randint(-9, 9), rng.randint(1, max_den))
+        (a, b): constant * Fraction(rng.randint(-9, 9), rng.randint(1, max_den))
         for a in (0, 2)
         for b in range(5)
     }
-    entries[0, 0] = 1
+    entries[0, 0] = constant
     return BiSeries.from_table(Rect(6, 4), entries)
 
 
@@ -256,7 +254,7 @@ def _power_operands(max_den, constant):
         }
         entries[0, 0] = constant
         dense.append(BiSeries.from_table(rect, entries))
-    return dense + [_rows_0_and_2(rng, max_den).scale(constant) for _ in range(3)]
+    return dense + [_rows_0_and_2(rng, max_den, constant) for _ in range(3)]
 
 
 @pytest.mark.parametrize("max_den", [1, 9], ids=["int", "fraction"])
@@ -294,9 +292,12 @@ def test_radical_sqrt_reads_two_operand_rows(monkeypatch):
     # the radicand (1-w)^2 - 4z has degree 1 in z, so every product cell of
     # its square root reads at most 2 rows of the left table; the kernel's
     # root is the one the radical route builds by its own row recurrence
-    subtractions = record_calls(monkeypatch, "__sub__", BiSeries)
+    divisions = record_calls(monkeypatch, "_root_cell", formulas)
     radical_series(Rect(24, 24))
-    [(_, root)] = subtractions  # 1 - w - 2z minus the root
+    rows: dict = {}
+    for num, a, b in divisions:  # root cell (a, b) is num / a, in row-major order
+        rows.setdefault(a, []).append(num // a)
+    root = BiSeries([(1, -1, *(0,) * 23), *rows.values()])  # row 0 is 1 - w
     calls = record_calls(monkeypatch, "_product_cell", series_module)
     radicand = poly(root.rect, {(0, 0): 1, (0, 1): -2, (0, 2): 1, (1, 0): -4})
     assert radicand.sqrt() == root
@@ -478,7 +479,6 @@ INTEGER_CASES = {
     "reciprocal_plus_one": lambda: _int_series(_R, 1).reciprocal(),
     "reciprocal_minus_one": lambda: _int_series(_R, -1).reciprocal(),
     "sqrt": lambda: (_int_series(_R, 1) ** 2).sqrt(),
-    "scale_half_of_even": lambda: _int_series(_R, 4).scale(2).scale(Fraction(1, 2)),
     "div_z": lambda: (poly(_R, {(1, 0): 1}) * _int_series(_R, 4)).div_z(),
     "div_z_plus_w": lambda: (
         poly(_PADDED, {(1, 0): 1, (0, 1): 1}) * _int_series(_PADDED, 4)
