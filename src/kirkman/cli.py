@@ -5,7 +5,9 @@ found, 2 usage error; a reader closing the pipe early ends it quietly by
 SIGPIPE, as it ends ``cat`` (shell status 141).  Data goes to stdout,
 diagnostics to stderr.  All numbers are printed in full decimal expansion,
 and rows in blocks of about 64 KiB of whole lines, one write each: every row
-exists before the first block is written, so blocking delays nothing.
+exists before the first block is written, so blocking delays nothing.  A
+csv row of ``verify``, all ints and a status, is one format; other csv rows
+are rendered field by field, and json-lines rows by ``json``.
 
 Each handler imports only the arithmetic it runs.  ``--help`` and parse
 errors load no arithmetic module; ``coeff`` loads ``formulas`` and
@@ -205,6 +207,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             )
         return EXIT_OK if report.passed else EXIT_DISAGREEMENT
 
+    header = ("M", "N", "lhs", "rhs", "status")
     status = "ok"
 
     def rows():
@@ -214,7 +217,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             status = "ok" if lhs == rhs else "fail"
             yield M, N, lhs, rhs, status
 
-    _emit_rows(args.format, ("M", "N", "lhs", "rhs", "status"), rows())
+    if args.format == "csv":
+        # every field is an int or ok/fail, so a row is one format, as _emit_rows would write it
+        lines = (f"{M},{N},{lhs},{rhs},{verdict}" for M, N, lhs, rhs, verdict in rows())
+        _write_lines(chain([",".join(header)], lines))
+    else:
+        _emit_rows(args.format, header, rows())
     return EXIT_OK if status == "ok" else EXIT_DISAGREEMENT
 
 

@@ -7,11 +7,14 @@ product only reads inputs at indices (i, j) with i <= a and j <= b, so
 arithmetic on the window is exact for the represented terms.  Variables are
 positional; the same type serves series in (z, w) and in (y, w).
 
-Cells are ``int`` or ``Fraction``.  Every division (construction, which
-divides by 1, and the powers) goes through one divider,
-``_quotient``: it stores a plain ``int`` when the result is an integer and a
-``Fraction`` only when it is not, and it divides an int by an int by
-``divmod``, so an integer quotient never passes through a ``Fraction``.
+Cells are ``int`` or ``Fraction``.  The divisions here (construction,
+which divides by 1, and the powers) go through one divider, ``_quotient``:
+it stores a plain ``int`` when the result is an integer and a ``Fraction``
+only when it is not, and it divides an int by an int by ``divmod``, so an
+integer quotient never passes through a ``Fraction``.  The routes' integral
+steps go through ``_integral_quotient``, which divides an int numerator by
+``divmod`` itself and hands only a remainder, or a numerator of another
+type, to ``_quotient`` and its integrality error.
 Addition, subtraction and products need no normalising: integer cells give
 integer cells, and mixed int/Fraction arithmetic stays exact.  A table built
 from integers therefore holds only ints unless some division in it leaves a
@@ -38,11 +41,14 @@ variable, such as (1-w)^2 - 4z, has two.
 A second kernel, ``_kronecker_product``, takes the whole truncated product
 of two tables of non-negative ints by exact multiplication (Kronecker
 substitution): each table is packed into one decimal number, one slot per
-cell, and the ``decimal`` module multiplies such numbers by a
-number-theoretic transform, about five times faster than CPython's binary
-Karatsuba multiplies ints of the same size at the sweep's sizes.  A slot is
-as wide as the widest target (a product cell inside the window) needs,
-bounded cell by cell from the bit lengths of the pairs that meet in it.
+cell (converted by ``str`` and ``int`` when a slot is at most 640 digits
+wide, which no int/str digit limit refuses, and through ``Decimal`` when it
+is wider; each row is parsed alone and the rows are summed), and the
+``decimal`` module multiplies such numbers by a number-theoretic transform,
+about five times faster than CPython's binary Karatsuba multiplies ints of
+the same size at the sweep's sizes.  A slot is as wide as the widest target
+(a product cell inside the window) needs, bounded cell by cell from the bit
+lengths of the pairs that meet in it.
 The product's columns past the window are garbage, whose cells may be
 wider than a slot, and a guard of zero digits after each row stops their
 carry short of the next row's targets.  Rows past the window are never
@@ -92,7 +98,13 @@ def _quotient(num: Scalar, den: Scalar) -> Scalar:
 
 
 def _integral_quotient(num: Scalar, den: int, p: int, m: int, n: int) -> int:
-    # coefficient (m, n) of f^p as num / den, asserted to be an integer
+    # coefficient (m, n) of f^p as num / den, asserted to be an integer; an
+    # int numerator is divided by divmod alone, and only a remainder or a
+    # numerator of another type reaches _quotient and the error
+    if type(num) is int:
+        q, r = divmod(num, den)
+        if not r:
+            return q
     value = _quotient(num, den)
     if type(value) is not int:
         raise ArithmeticError(f"integrality violated at p={p} m={m} n={n}: {value}")
@@ -173,6 +185,11 @@ def _power(x: BiSeries, num: int, den: int, seed: Scalar) -> BiSeries:
             out[a][b] = _quotient(_product_cell(weighted, out, a, b), den * a * x00)
     return BiSeries(out)
 
+
+# the least nonzero int/str digit limit sys.set_int_max_str_digits accepts
+# (sys.int_info.str_digits_check_threshold): an int of at most this many
+# digits converts to and from str under any limit
+_PLAIN_SLOT_DIGITS = 640
 
 # libmpdec stores a decimal in words of 19 digits on 64-bit builds, and
 # multiplies by schoolbook when one operand has at most 256 words
@@ -291,18 +308,30 @@ def _kronecker_product(x: BiSeries, y: BiSeries) -> BiSeries:
     # default Emax would overflow a product past 999,999 digits
     context = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded, InvalidOperation])
 
+    # str and int convert a slot no wider than _PLAIN_SLOT_DIGITS, so every
+    # cell of x and y too, as the target bound adds its bits to another's;
+    # Decimal converts an int of any size
+    if width <= _PLAIN_SLOT_DIGITS:
+        text, number = str, int
+    else:
+        def text(v: int) -> str:
+            return str(Decimal(v))
+
+        def number(slot: str) -> int:
+            return int(Decimal(slot))
+
     def pack(table: Sequence[Sequence[int]]) -> Decimal:
-        # row by row, guard and garbage as leading zeros; Decimal, unlike
-        # str and int, converts an int of any size: a slot may be wider than
-        # the interpreter's int/str digit limit
-        lead = "0" * (stride - (max_b + 1) * width)
-        return Decimal(
-            "".join(
-                lead + "".join(str(Decimal(v)).zfill(width) for v in reversed(row))
-                for row in reversed(table)
-            ),
-            context,
-        )
+        # row a's slots at digit a * stride: each row is parsed alone and
+        # the rows are summed pairwise, so the zeros of the guard and garbage
+        # digits, about half the number, are never parsed from a string
+        parts = [
+            context.scaleb(Decimal("".join([text(v).zfill(width) for v in row[::-1]])), a * stride)
+            for a, row in enumerate(table)
+        ]
+        while len(parts) > 1:
+            # neighbours add in pairs; an odd last part waits for the next round
+            parts = [*map(context.add, parts[::2], parts[1::2]), *parts[len(parts) // 2 * 2 :]]
+        return parts[0]
 
     def low(v: Decimal, rows: int) -> Decimal:
         # v's first ``rows`` rows, v mod 10^(rows stride): a shift keeps as
@@ -326,7 +355,7 @@ def _kronecker_product(x: BiSeries, y: BiSeries) -> BiSeries:
     for a in range(max_a + 1):
         end = len(product) - a * stride
         row = product[end - (max_b + 1) * width : end]
-        rows.append([int(Decimal(row[k : k + width])) for k in range(max_b * width, -1, -width)])
+        rows.append([number(row[k : k + width]) for k in range(max_b * width, -1, -width)])
     return BiSeries(rows)
 
 

@@ -466,6 +466,35 @@ def test_verify_csv_prints_every_row_up_to_the_counterexample(monkeypatch, capsy
     assert out == "M,N,lhs,rhs,status\n0,0,1,1,ok\n0,1,2,2,ok\n0,2,3,3,ok\n1,0,4,5,fail\n"
 
 
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda monkeypatch: corrupt_route(monkeypatch, "closed_table", 7),
+        lambda monkeypatch: monkeypatch.setattr(
+            verifier_module, "closed_table", corrupted_closed_table
+        ),
+    ],
+    ids=["cell-0-0", "c2-cell-1-0"],
+)
+def test_verify_csv_and_json_lines_give_the_same_rows(monkeypatch, capsys, corrupt):
+    # csv writes each row by its own format: both formats keep the same rows,
+    # up to and including the first failing one, and the same exit code
+    corrupt(monkeypatch)
+    argv = ["verify", "--r", "1", "--s", "1", "--max-M", "3", "--max-N", "6", "--format"]
+    code, out, _ = run([*argv, "csv"], capsys)
+    assert code == 1
+    header, *lines = out.splitlines()
+    fields = header.split(",")
+    assert fields == ["M", "N", "lhs", "rhs", "status"]
+    csv_rows = [(*map(int, cells[:4]), cells[4]) for cells in (line.split(",") for line in lines)]
+    code, out, _ = run([*argv, "json-lines"], capsys)
+    assert code == 1
+    records = [json.loads(line) for line in out.splitlines()]
+    assert all(list(record) == fields for record in records)
+    assert csv_rows == [tuple(record.values()) for record in records]
+    assert [row[4] for row in csv_rows] == ["ok"] * (len(csv_rows) - 1) + ["fail"]
+
+
 # each route's builder and its name in kirkman.ROUTES
 ROUTE_BUILDERS = pytest.mark.parametrize(
     "route, name",

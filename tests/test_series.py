@@ -584,6 +584,34 @@ def test_kronecker_product_slots_wider_than_the_int_str_limit():
         sys.set_int_max_str_digits(previous)
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit here"
+)
+@pytest.mark.parametrize("width", [640, 641])
+def test_kronecker_product_slots_at_the_least_int_str_limit(width):
+    # 640 digits, the least limit the interpreter accepts, is the widest slot
+    # converted by str and int; a slot one digit wider goes through Decimal
+    assert getattr(sys.int_info, "str_digits_check_threshold", 640) == 640
+    rng = random.Random(width)
+    rect = Rect(3, 4)
+
+    def full(bits):
+        return BiSeries.from_table(rect, {c: 1 << bits | rng.getrandbits(bits) for c in rect.cells()})
+
+    x, y = next(
+        (x, y)
+        for x, y in ((full(bits), full(bits + 1)) for bits in range(1000, 1100))
+        if _slot_layout(x, y)[0] == width
+    )
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        _assert_packed_product_is_cellwise(x, y)
+        _assert_packed_product_is_cellwise(y, x)
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 def test_kronecker_product_longer_than_a_million_digits():
     # 63 product slots of about 16,900 digits each, past the 999,999 digits
     # that decimal's default context allows before it overflows
