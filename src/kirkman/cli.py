@@ -6,14 +6,16 @@ SIGPIPE, as it ends ``cat`` (shell status 141).  Data goes to stdout,
 diagnostics to stderr.  All numbers are printed in full decimal expansion,
 and rows in blocks of about 64 KiB of whole lines, one write each: every row
 exists before the first block is written, so blocking delays nothing.  A
-csv row of ``verify``, all ints and a status, is one format; other csv rows
-are rendered field by field, and json-lines rows by ``json``.
+csv row of ``verify``, all ints and a status, is one format, and an ok row
+converts its equal sides once; other csv rows are rendered field by field,
+and json-lines rows by ``json``.
 
 Each handler imports only the arithmetic it runs.  ``--help`` and parse
 errors load no arithmetic module; ``coeff`` loads ``formulas`` and
 ``series``; ``expand`` loads ``series`` and the home module of its route's
 builder, which ``kirkman.ROUTES`` reads when called; ``verify`` loads
-``verifier`` and ``series``; ``crosscheck`` loads all four.
+``verifier``, whose packed product imports ``decimal``, and ``series``;
+``crosscheck`` loads all four.
 """
 
 from __future__ import annotations
@@ -218,9 +220,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             yield M, N, lhs, rhs, status
 
     if args.format == "csv":
-        # every field is an int or ok/fail, so a row is one format, as _emit_rows would write it
-        lines = (f"{M},{N},{lhs},{rhs},{verdict}" for M, N, lhs, rhs, verdict in rows())
-        _write_lines(chain([",".join(header)], lines))
+        # every field is an int or ok/fail, so a row is one format, as _emit_rows would
+        # write it; an ok row's two equal sides are converted once
+        def lines():
+            for M, N, lhs, rhs, verdict in rows():
+                value = str(lhs)
+                yield f"{M},{N},{value},{value if verdict == 'ok' else rhs},{verdict}"
+
+        _write_lines(chain([",".join(header)], lines()))
     else:
         _emit_rows(args.format, header, rows())
     return EXIT_OK if status == "ok" else EXIT_DISAGREEMENT

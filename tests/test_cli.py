@@ -596,6 +596,28 @@ def test_division_failure_exits_1_with_one_line(monkeypatch, capsys, argv, cell,
     assert err == f"kirkman {argv[0]}: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "fmt, out",
+    [("pretty", ""), ("csv", "M,N,lhs,rhs,status\n"), ("json-lines", "")],
+    ids=cli_module.FORMATS,
+)
+@pytest.mark.parametrize(
+    "delta, cell", [(Fraction(1, 2), "Fraction(3, 2)"), (-9, "-8")], ids=["fraction", "negative"]
+)
+def test_verify_over_an_unpackable_table_exits_1_with_one_line(
+    monkeypatch, capsys, fmt, out, delta, cell
+):
+    # c_2(0, 0) is no longer a non-negative int, so it has no slot in the
+    # packed product: a disagreement found before any row exists, after csv
+    # has written its header; the one stderr line is all, with no traceback
+    corrupt_route(monkeypatch, "closed_table", delta)
+    argv = ["verify", "--r", "2", "--s", "3", "--max-M", "4", "--max-N", "4", "--format", fmt]
+    code, stdout, err = run(argv, capsys)
+    assert code == 1
+    assert stdout == out
+    assert err == f"kirkman verify: packed product needs non-negative int cells, got {cell}\n"
+
+
 # ---- a reader that stops early ----
 
 

@@ -11,11 +11,10 @@ import pytest
 from kirkman import formulas
 from kirkman import series as series_module
 from kirkman.formulas import fixpoint_series, power_series, radical_series
-from kirkman.series import (
-    BiSeries, NotDivisibleError, Rect, _kronecker_product, _power, _slot_layout, _split_cost,
-    _split_row, poly
+from kirkman.series import BiSeries, NotDivisibleError, Rect, _power, poly
+from kirkman.verifier import (
+    _kronecker_product, _slot_layout, _split_cost, _split_row, closed_table, convolution_lhs
 )
-from kirkman.verifier import closed_table, convolution_lhs
 
 from oracles import naive_mul, random_series, record_calls
 
