@@ -9,9 +9,9 @@ and rationals throughout.
 ``import kirkman`` loads no submodule: each public name is imported from
 its home module on first use (PEP 562), and ``ROUTES``, the one registry of
 the routes, reads each builder the same way when an entry is called.  So a
-command loads only the modules it runs: ``expand --method radical`` loads
-``series`` and ``formulas``, ``verify`` loads ``series`` and ``verifier``,
-and only ``crosscheck`` loads all four (``kirkman.cli`` lists every command).
+command loads only the modules it runs: ``verify`` loads ``series``,
+``closed`` and ``verifier``, and ``crosscheck`` all but ``verifier``
+(``kirkman.cli`` lists every command).
 """
 
 from importlib import import_module
@@ -22,11 +22,12 @@ __version__ = "0.1.0"
 _HOMES = {
     name: module
     for module, names in {
+        "closed": "closed_table cross_check_methods",
         "formulas": "binomial closed_form_coeff fixpoint_series power_series radical_series",
         "lagrange": "build_phi lagrange_coeff lagrange_table",
         "series": "BiSeries Rect poly",
-        "verifier": "CoeffReport Counterexample VerifyReport closed_table convolution_lhs "
-        "cross_check_methods sweep_cells verify_cayley verify_generalized",
+        "verifier": "Counterexample VerifyReport convolution_lhs sweep_cells verify_cayley "
+        "verify_generalized",
     }.items()
     for name in names.split()
 }

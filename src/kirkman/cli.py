@@ -1,21 +1,22 @@
 """Command-line front end: coefficient queries, tables, sweeps, cross-checks.
 
 Exit codes: 0 success / identity verified, 1 mathematical disagreement
-found, 2 usage error; a reader closing the pipe early ends it quietly by
-SIGPIPE, as it ends ``cat`` (shell status 141).  Data goes to stdout,
-diagnostics to stderr.  All numbers are printed in full decimal expansion,
-and rows in blocks of about 64 KiB of whole lines, one write each: every row
-exists before the first block is written, so blocking delays nothing.  A
-csv row of ``verify``, all ints and a status, is one format, and an ok row
-converts its equal sides once; other csv rows are rendered field by field,
-and json-lines rows by ``json``.
+found, 2 usage error, 130 interrupted by Ctrl-C (with nothing on stderr); a
+reader closing the pipe early ends it quietly by SIGPIPE, as it ends
+``cat`` (shell status 141).  Data goes to stdout, diagnostics to stderr.
+All numbers are printed in full decimal expansion, and rows in blocks of
+about 64 KiB of whole lines, one write each: every row exists before the
+first block is written, so blocking delays nothing.  A csv row of
+``verify``, all ints and a status, is one format, and an ok row converts
+its equal sides once; other csv rows are rendered field by field, and
+json-lines rows by ``json``.
 
 Each handler imports only the arithmetic it runs.  ``--help`` and parse
 errors load no arithmetic module; ``coeff`` loads ``formulas`` and
 ``series``; ``expand`` loads ``series`` and the home module of its route's
 builder, which ``kirkman.ROUTES`` reads when called; ``verify`` loads
-``verifier``, whose packed product imports ``decimal``, and ``series``;
-``crosscheck`` loads all four.
+``verifier``, whose packed product imports ``decimal``, ``series`` and
+``closed``; ``crosscheck`` loads all but ``verifier``.
 """
 
 from __future__ import annotations
@@ -123,6 +124,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             # a route failed an exactness check: a disagreement, reported as one record
             print(f"{args.parser.prog}: {error}", file=sys.stderr)
             return EXIT_DISAGREEMENT
+    except KeyboardInterrupt:
+        # Ctrl-C ends the command quietly, with the shell's status for SIGINT
+        return 128 + signal.SIGINT
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
@@ -234,24 +238,23 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_crosscheck(args: argparse.Namespace) -> int:
-    from . import verifier
-    reports = verifier.cross_check_methods(args.p, args.max_m, args.max_n)
-    all_agree = all(r.agree for r in reports)
+    from .closed import cross_check_methods
+    rows = cross_check_methods(args.p, args.max_m, args.max_n)
+    first = next((row for row in rows if not row[-1]), None)
 
     if args.format == "pretty":
-        if all_agree:
+        if first is None:
             print(
                 f"PASS p={args.p} 0<=m<={args.max_m} 0<=n<={args.max_n}: "
-                f"{len(reports)} cells agree on all routes"
+                f"{len(rows)} cells agree on all routes"
             )
         else:
-            first = next(r for r in reports if not r.agree)
-            shown = " ".join(f"{k}={v}" for k, v in first.values.items() if v is not None)
-            print(f"FAIL p={args.p}: disagreement at m={first.m} n={first.n}: {shown}")
+            m, n, *values, _ = first
+            shown = " ".join(f"{k}={v}" for k, v in zip(ROUTES, values) if v is not None)
+            print(f"FAIL p={args.p}: disagreement at m={m} n={n}: {shown}")
     else:
-        rows = ((r.m, r.n, *r.values.values(), r.agree) for r in reports)
         _emit_rows(args.format, ("m", "n", *ROUTES, "agree"), rows)
-    return EXIT_OK if all_agree else EXIT_DISAGREEMENT
+    return EXIT_OK if first is None else EXIT_DISAGREEMENT
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ Its coefficients interpolate Catalan numbers ([z^m w^0] f = Catalan(m+1))
 and the geometric row ([z^0 w^n] f = 1).  This module provides:
 
   * ``closed_form_coeff`` -- the binomial closed form for one cell [z^m w^n]
-                             f^p (``verifier.closed_table`` walks term ratios),
+                             f^p (``closed.closed_table`` walks term ratios),
   * ``power_series``      -- f^p from the quadratic's coefficient recurrence
                              for every power of f at once, in additions,
   * ``fixpoint_series``   -- f itself, ``power_series`` at p = 1,
@@ -18,7 +18,7 @@ and the geometric row ([z^0 w^n] f = 1).  This module provides:
                              own row recurrence, in running sums and one
                              exact division per cell.
 
-All routes agree cellwise; the verifier module sweeps that agreement.  Every
+All routes agree cellwise; ``closed.cross_check_methods`` checks it.  Every
 route that divides asserts each cell of its table integral; the series route
 only adds ints.  No route reads another route's table.
 """

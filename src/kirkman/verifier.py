@@ -1,4 +1,4 @@
-"""Brute-force verification of the convolution identity and route cross-checks.
+"""Brute-force verification of the convolution identity.
 
 The generalized identity states that for p = r + s,
 
@@ -7,13 +7,13 @@ The generalized identity states that for p = r + s,
 where c_p(m, n) is the closed-form coefficient of [z^m w^n] f^p.  The r = s
 = 1 case is Kirkman's hypothesis, and its N = 0 restriction is Cayley's
 case.  A sweep builds the closed-form table of each distinct power among r,
-s and p once (two when r = s; by term ratios), takes every left side at once
-as the exact truncated product of the tables of c_r and c_s, packed into
-decimal numbers by ``_kronecker_product`` (its comment gives the layout),
-and reads the right side from the table of c_p.  Both factors are
-closed-form tables and no series power enters, so a sweep is a genuine check
-of the identity rather than a tautology of series arithmetic; the
-series-level fact f^r f^s = f^(r+s) is tested separately as an invariant.
+s and p once (two when r = s) through ``kirkman.ROUTES["closed"]``, takes
+every left side at once as the exact truncated product of the tables of c_r
+and c_s, packed into decimal numbers by ``_kronecker_product`` (its comment
+gives the layout), and reads the right side from the table of c_p.  Both
+factors are closed-form tables and no series power enters, so a sweep is a
+genuine check of the identity rather than a tautology of series arithmetic;
+the series-level fact f^r f^s = f^(r+s) is tested separately as an invariant.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from operator import add, or_
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import ROUTES
-from .series import BiSeries, Rect, Scalar, _check_power, _integral_quotient, _product_cell
+from .series import BiSeries, Rect, Scalar, _product_cell
 
 
 class Counterexample(NamedTuple):
@@ -49,38 +49,6 @@ class VerifyReport(NamedTuple):
     @property
     def status(self) -> str:
         return "pass" if self.passed else "fail"
-
-
-class CoeffReport(NamedTuple):
-    """One cell's value on every route, keyed as ROUTES (None where a route does not apply)."""
-
-    m: int
-    n: int
-    values: dict[str, Optional[Scalar]]
-
-    @property
-    def agree(self) -> bool:
-        present = [v for v in self.values.values() if v is not None]
-        return all(v == present[0] for v in present)
-
-
-def closed_table(p: int, window: Rect) -> BiSeries:
-    """c_p(m, n) on ``window`` by term ratios: c_p is hypergeometric in m and n.
-
-    From c(0, 0) = 1, c(m, 0) = c(m-1, 0) 2(m-1+p)(2m+2p-1) / (m(m+2p)) and
-    c(m, n+1) = c(m, n) (m+n+p)(2m+n+2p+1) / ((n+1)(m+n+2p+1)), each division
-    asserted integral; no binomial is taken (``closed_form_coeff`` is the reference).
-    """
-    _check_power(p)
-    rows: list[list[int]] = []
-    for m in range(window.max_a + 1):
-        num, den = 2 * (m - 1 + p) * (2 * m + 2 * p - 1), m * (m + 2 * p)
-        row = [_integral_quotient(rows[-1][0] * num, den, p, m, 0) if m else 1]
-        for n in range(window.max_b):
-            num, den = (m + n + p) * (2 * m + n + 2 * p + 1), (n + 1) * (m + n + 2 * p + 1)
-            row.append(_integral_quotient(row[n] * num, den, p, m, n + 1))
-        rows.append(row)
-    return BiSeries(rows)
 
 
 def convolution_lhs(x: BiSeries, y: BiSeries, M: int, N: int) -> int:
@@ -153,7 +121,7 @@ def _check_cells(table: Sequence[Sequence[Scalar]]) -> None:
     cells = list(chain.from_iterable(table))
     if set(map(type, cells)) != {int} or min(cells) < 0:
         bad = next(v for v in cells if type(v) is not int or v < 0)
-        raise _UnpackableCellError(f"packed product needs non-negative int cells, got {bad!r}")
+        raise _UnpackableCellError(f"packed product needs non-negative int cells, got {bad}")
 
 
 def _digits(bits: int) -> int:
@@ -278,19 +246,32 @@ def _kronecker_product(x: BiSeries, y: BiSeries) -> BiSeries:
     return BiSeries(rows)
 
 
-
 def sweep_cells(
     r: int, s: int, max_M: int, max_N: int
 ) -> Iterator[tuple[int, int, int, int]]:
-    """Yield (M, N, lhs, rhs) in lexicographic order, stopping after the first lhs != rhs."""
+    """Yield (M, N, lhs, rhs) in lexicographic order, stopping after the first lhs != rhs.
+
+    After the last row, each table's anchors c_q(1, 0) = 2q and c_q(0, 1) = q
+    that the window holds are checked, and one that fails raises
+    ``ArithmeticError``: the identity holds as well for c_q(m, n) a^m b^n, and
+    a table scaled so passes every row.
+    """
     window = Rect(max_M, max_N)
-    tables = {q: closed_table(q, window) for q in {r, s, r + s}}
+    tables = {q: ROUTES["closed"](q, window) for q in {r, s, r + s}}
     lhs = _kronecker_product(tables[r], tables[s])
     for M, (lhs_row, rhs_row) in enumerate(zip(lhs.coeff, tables[r + s].coeff)):
         for N, (left, right) in enumerate(zip(lhs_row, rhs_row)):
             yield M, N, left, right
             if left != right:
                 return
+    # f = 1 + 2z + w + ..., from the quadratic's linear part alone
+    for q, table in sorted(tables.items()):
+        for (m, n), anchor in (((1, 0), 2 * q), ((0, 1), q)):
+            value = table.coeff[m][n] if window.contains(m, n) else anchor
+            if value != anchor:
+                raise ArithmeticError(
+                    f"scale anchor violated: c_{q}({m}, {n}) = {value}, expected {anchor}"
+                )
 
 
 def verify_generalized(r: int, s: int, max_M: int, max_N: int) -> VerifyReport:
@@ -310,20 +291,3 @@ def verify_generalized(r: int, s: int, max_M: int, max_N: int) -> VerifyReport:
 def verify_cayley(max_M: int) -> VerifyReport:
     """The N = 0 special case of the r = s = 1 sweep, as a named entry point."""
     return verify_generalized(1, 1, max_M, 0)
-
-
-def cross_check_methods(p: int, max_m: int, max_n: int) -> list[CoeffReport]:
-    """Compute every cell of the (max_m, max_n) window on all ``kirkman.ROUTES``.
-
-    Each route builds its table once, and the tables are read together row
-    by row; one that does not exist for p reads as a table of None.
-    """
-    window = Rect(max_m, max_n)
-    absent = ((None,) * (max_n + 1),) * (max_m + 1)
-    tables = {name: build(p, window) for name, build in ROUTES.items()}
-    rows = (absent if t is None else t.coeff for t in tables.values())
-    return [
-        CoeffReport(m, n, dict(zip(tables, cells)))
-        for m, row in enumerate(zip(*rows))
-        for n, cells in enumerate(zip(*row))
-    ]

@@ -11,8 +11,11 @@ Every test double of the suite is defined here once:
   its calls;
 - ``corrupted_closed_table`` is the closed route with c_2(1, 0) one too
   large.  It calls the ``closed_table`` bound when this module is imported:
-  the tests patch ``kirkman.verifier.closed_table`` with it, so a lookup at
+  the tests patch ``kirkman.closed.closed_table`` with it, so a lookup at
   call time would find the patched binding and recurse;
+- ``scaled_closed_table`` is the closed route with every cell c_p(m, n)
+  times 2^m, which keeps the convolution identity; it binds ``closed_table``
+  the same way;
 - ``corrupt_route`` shifts cell (0, 0) of a route's table as every command
   sees it: it patches the builder in its home module, the binding that
   ``kirkman.ROUTES`` reads when called;
@@ -33,8 +36,8 @@ from pathlib import Path
 
 import kirkman
 from kirkman import formulas
+from kirkman.closed import closed_table
 from kirkman.series import BiSeries, Rect, poly
-from kirkman.verifier import closed_table
 
 
 def naive_mul(x: dict, y: dict, max_a: int, max_b: int) -> dict:
@@ -125,11 +128,16 @@ def record_calls(monkeypatch, name: str, *owners) -> list:
 
 
 def corrupted_closed_table(p: int, window: Rect) -> BiSeries:
-    """The closed route as the verifier sees it, with c_2(1, 0) one too large."""
+    """The closed route as every command sees it, with c_2(1, 0) one too large."""
     table = closed_table(p, window)
     if p == 2 and window.contains(1, 0):
         return table + BiSeries.from_table(window, {(1, 0): 1})
     return table
+
+
+def scaled_closed_table(p: int, window: Rect) -> BiSeries:
+    """The closed route with its column ratio doubled: every cell c_p(m, n) times 2^m."""
+    return BiSeries([[v << m for v in row] for m, row in enumerate(closed_table(p, window).coeff)])
 
 
 def corrupt_route(monkeypatch, route: str, delta, owner=None) -> None:

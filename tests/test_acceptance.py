@@ -14,7 +14,7 @@ import time
 from fractions import Fraction
 from math import comb
 
-import kirkman.verifier as verifier_module
+import kirkman.closed as closed_module
 from kirkman.cli import main
 from kirkman.formulas import closed_form_coeff, fixpoint_series, power_series, radical_series
 from kirkman.series import BiSeries, Rect, poly
@@ -192,7 +192,7 @@ def test_criterion_9_property_suite():
 
 @criterion(10, "corrupted coefficient drives verify and crosscheck to exit 1")
 def test_criterion_10_mutation(monkeypatch, capsys):
-    monkeypatch.setattr(verifier_module, "closed_table", corrupted_closed_table)
+    monkeypatch.setattr(closed_module, "closed_table", corrupted_closed_table)
 
     code = main(["verify", "--r", "1", "--s", "1", "--max-M", "3", "--max-N", "3",
                  "--format", "json-lines"])

@@ -20,7 +20,7 @@ import pytest
 
 import kirkman
 import kirkman.cli as cli_module
-import kirkman.verifier as verifier_module
+import kirkman.closed as closed_module
 from kirkman import lagrange
 from kirkman.cli import main
 from kirkman.series import BiSeries
@@ -31,6 +31,7 @@ from oracles import (
     corrupt_route,
     corrupted_closed_table,
     record_calls,
+    scaled_closed_table,
     times_one_plus_half_y,
 )
 
@@ -151,6 +152,42 @@ def test_main_restores_the_callers_sigpipe_disposition(capsys):
         signal.signal(signal.SIGPIPE, previous)
     assert code == 0
     assert out == "5\n"
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit here"
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "--p", "1", "--max-m", "2", "--max-n", "2"],
+        ["verify", "--r", "1", "--s", "1", "--max-M", "2", "--max-N", "2", "--format", "csv"],
+        ["crosscheck", "--p", "1", "--max-m", "2", "--max-n", "2"],
+    ],
+    ids=["expand", "verify", "crosscheck"],
+)
+def test_ctrl_c_exits_130_quietly_and_restores_the_callers_settings(monkeypatch, capsys, argv):
+    # a route interrupted by Ctrl-C ends the command with the shell's status
+    # for SIGINT and no traceback, and main still gives back SIGPIPE and the limit
+    def interrupted(p, window):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(closed_module, "closed_table", interrupted)
+    limit = sys.get_int_max_str_digits()
+    pipe = signal.signal(signal.SIGPIPE, signal.SIG_IGN)
+    sys.set_int_max_str_digits(4300)
+    try:
+        try:
+            code, _, err = run(argv, capsys)
+        except KeyboardInterrupt:
+            # escaping here would end the whole test session, not fail this test
+            pytest.fail("KeyboardInterrupt escaped main")
+        assert sys.get_int_max_str_digits() == 4300
+        assert signal.getsignal(signal.SIGPIPE) == signal.SIG_IGN
+    finally:
+        sys.set_int_max_str_digits(limit)
+        signal.signal(signal.SIGPIPE, pipe)
+    assert (code, err) == (130, "")
 
 
 def test_coeff_rejects_zero_power(capsys):
@@ -435,7 +472,7 @@ def test_crosscheck_json_lines(capsys):
 
 
 def test_verify_exits_1_on_counterexample(monkeypatch, capsys):
-    monkeypatch.setattr(verifier_module, "closed_table", corrupted_closed_table)
+    monkeypatch.setattr(closed_module, "closed_table", corrupted_closed_table)
     code, out, _ = run(["verify", "--r", "1", "--s", "1", "--max-M", "2", "--max-N", "2"], capsys)
     assert code == 1
     assert out.startswith("FAIL")
@@ -444,7 +481,7 @@ def test_verify_exits_1_on_counterexample(monkeypatch, capsys):
 
 
 def test_verify_counterexample_record_is_well_formed(monkeypatch, capsys):
-    monkeypatch.setattr(verifier_module, "closed_table", corrupted_closed_table)
+    monkeypatch.setattr(closed_module, "closed_table", corrupted_closed_table)
     code, out, _ = run(
         ["verify", "--r", "1", "--s", "1", "--max-M", "2", "--max-N", "2",
          "--format", "json-lines"],
@@ -457,7 +494,7 @@ def test_verify_counterexample_record_is_well_formed(monkeypatch, capsys):
 
 
 def test_verify_csv_prints_every_row_up_to_the_counterexample(monkeypatch, capsys):
-    monkeypatch.setattr(verifier_module, "closed_table", corrupted_closed_table)
+    monkeypatch.setattr(closed_module, "closed_table", corrupted_closed_table)
     code, out, _ = run(
         ["verify", "--r", "1", "--s", "1", "--max-M", "2", "--max-N", "2", "--format", "csv"],
         capsys,
@@ -471,7 +508,7 @@ def test_verify_csv_prints_every_row_up_to_the_counterexample(monkeypatch, capsy
     [
         lambda monkeypatch: corrupt_route(monkeypatch, "closed_table", 7),
         lambda monkeypatch: monkeypatch.setattr(
-            verifier_module, "closed_table", corrupted_closed_table
+            closed_module, "closed_table", corrupted_closed_table
         ),
     ],
     ids=["cell-0-0", "c2-cell-1-0"],
@@ -602,7 +639,7 @@ def test_division_failure_exits_1_with_one_line(monkeypatch, capsys, argv, cell,
     ids=cli_module.FORMATS,
 )
 @pytest.mark.parametrize(
-    "delta, cell", [(Fraction(1, 2), "Fraction(3, 2)"), (-9, "-8")], ids=["fraction", "negative"]
+    "delta, cell", [(Fraction(1, 2), "3/2"), (-9, "-8")], ids=["fraction", "negative"]
 )
 def test_verify_over_an_unpackable_table_exits_1_with_one_line(
     monkeypatch, capsys, fmt, out, delta, cell
@@ -616,6 +653,33 @@ def test_verify_over_an_unpackable_table_exits_1_with_one_line(
     assert code == 1
     assert stdout == out
     assert err == f"kirkman verify: packed product needs non-negative int cells, got {cell}\n"
+
+
+@pytest.mark.parametrize("fmt", cli_module.FORMATS)
+@pytest.mark.parametrize(
+    "argv, rows, anchor",
+    [
+        (["--r", "1", "--s", "1", "--max-M", "30", "--max-N", "30"], 31 * 31,
+         "c_1(1, 0) = 4, expected 2"),
+        (["--r", "2", "--s", "3", "--max-M", "48", "--max-N", "48"], 49 * 49,
+         "c_2(1, 0) = 8, expected 4"),
+        (["--r", "1", "--s", "1", "--cayley", "--max-M", "500"], 501,
+         "c_1(1, 0) = 4, expected 2"),
+    ],
+    ids=["30x30", "48x48", "cayley-500"],
+)
+def test_verify_over_a_table_off_scale_exits_1_after_every_row(
+    monkeypatch, capsys, fmt, argv, rows, anchor
+):
+    # every cell times 2^m keeps the identity, so every row of the sweep
+    # passes; the anchor c_q(1, 0) = 2q then fails, after csv and json-lines
+    # have written every row, with one stderr line
+    monkeypatch.setattr(closed_module, "closed_table", scaled_closed_table)
+    code, out, err = run(["verify", *argv, "--format", fmt], capsys)
+    assert code == 1
+    assert err == f"kirkman verify: scale anchor violated: {anchor}\n"
+    assert len(out.splitlines()) == {"pretty": 0, "csv": 1 + rows, "json-lines": rows}[fmt]
+    assert "fail" not in out
 
 
 # ---- a reader that stops early ----
@@ -675,7 +739,9 @@ SHOW_MODULES = (
     " if name.split('.')[0] == 'kirkman' or name in ('fractions', 'decimal'))))"
 )
 CLI = {"kirkman", "kirkman.cli"}
-ARITHMETIC = {"kirkman.formulas", "kirkman.lagrange", "kirkman.series", "kirkman.verifier"}
+ARITHMETIC = {
+    "kirkman.closed", "kirkman.formulas", "kirkman.lagrange", "kirkman.series", "kirkman.verifier"
+}
 
 
 def _shown_modules(argv, code):
@@ -720,12 +786,15 @@ WINDOW = ["--max-m", "2", "--max-n", "2"]
          CLI | {"kirkman.formulas", "kirkman.series"}),
         # the route refuses p = 2 before reading its builder
         (["expand", "--p", "2", *WINDOW, "--method", "radical"], 2, CLI | {"kirkman.series"}),
+        (["expand", "--p", "1", *WINDOW, "--method", "closed"], 0,
+         CLI | {"kirkman.closed", "kirkman.series"}),
         (["verify", "--r", "1", "--s", "1", "--max-M", "2", "--max-N", "2", "--format", "csv"], 0,
-         CLI | {"kirkman.series", "kirkman.verifier", "decimal"}),
-        (["crosscheck", "--p", "1", *WINDOW], 0, CLI | ARITHMETIC),
+         CLI | {"kirkman.closed", "kirkman.series", "kirkman.verifier", "decimal"}),
+        # the cross-check lives with the closed route, away from the sweep
+        (["crosscheck", "--p", "1", *WINDOW], 0, CLI | ARITHMETIC - {"kirkman.verifier"}),
     ],
     ids=["help", "verify-help", "usage-error", "coeff", "expand-radical", "expand-radical-p2",
-         "verify-csv", "crosscheck"],
+         "expand-closed", "verify-csv", "crosscheck"],
 )
 def test_a_command_loads_only_the_arithmetic_it_runs(preloaded, argv, code, loads):
     # exactly the kirkman modules the command runs, and fractions or decimal

@@ -21,8 +21,8 @@ from kirkman.formulas import (
     power_series,
     radical_series,
 )
+from kirkman.closed import closed_table
 from kirkman.series import BiSeries, Rect
-from kirkman.verifier import closed_table
 
 from oracles import (
     catalan,

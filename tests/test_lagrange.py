@@ -5,10 +5,10 @@ from __future__ import annotations
 import pytest
 
 from kirkman import lagrange as lagrange_module
+from kirkman.closed import closed_table
 from kirkman.formulas import binomial, closed_form_coeff, fixpoint_series
 from kirkman.lagrange import build_phi, lagrange_coeff, lagrange_table
 from kirkman.series import BiSeries, Rect, poly
-from kirkman.verifier import closed_table
 
 from oracles import catalan, times_one_plus_half_y
 

@@ -11,9 +11,10 @@ import pytest
 from kirkman import formulas
 from kirkman import series as series_module
 from kirkman.formulas import fixpoint_series, power_series, radical_series
+from kirkman.closed import closed_table
 from kirkman.series import BiSeries, NotDivisibleError, Rect, _power, poly
 from kirkman.verifier import (
-    _kronecker_product, _slot_layout, _split_cost, _split_row, closed_table, convolution_lhs
+    _kronecker_product, _slot_layout, _split_cost, _split_row, convolution_lhs
 )
 
 from oracles import naive_mul, random_series, record_calls

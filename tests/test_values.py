@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from kirkman.series import BiSeries, Rect
-from kirkman.verifier import CoeffReport, Counterexample, VerifyReport
+from kirkman.verifier import Counterexample, VerifyReport
 
 from oracles import cli_env
 
@@ -24,7 +24,6 @@ VALUES = {
     "BiSeries-from-lists": (lambda: BiSeries([[1, 2], [3, 4]]), "rect"),
     "Counterexample": (lambda: Counterexample(1, 2, 3, 4, 5, 6), "lhs"),
     "VerifyReport": (lambda: VerifyReport("r=1 s=1", 3), "checked_count"),
-    "CoeffReport": (lambda: CoeffReport(1, 1, {"closed": 5, "series": 5}), "values"),
 }
 HASHABLE = (Rect, BiSeries, Counterexample)
 

@@ -2,22 +2,22 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
 
+import kirkman.closed as closed_module
 import kirkman.verifier as verifier_module
 from kirkman.cli import main
+from kirkman.closed import closed_table, cross_check_methods
 from kirkman.formulas import closed_form_coeff, power_series
 from kirkman.lagrange import lagrange_table
 from kirkman.series import BiSeries, Rect
 from kirkman.verifier import (
-    CoeffReport,
     Counterexample,
     VerifyReport,
-    closed_table,
     convolution_lhs,
-    cross_check_methods,
     sweep_cells,
     verify_cayley,
     verify_generalized,
@@ -69,13 +69,13 @@ def test_every_builder_rejects_power_zero(build):
 def test_closed_table_asserts_integrality_at_every_step(monkeypatch):
     # a step that comes out one too large, c_2(1, 0) = 5 instead of 4, makes
     # the next step's division leave a remainder: 5 * 21 / 6 = 35/2
-    divide = verifier_module._integral_quotient
+    divide = closed_module._integral_quotient
 
     def one_too_many(num, den, p, m, n):
         value = divide(num, den, p, m, n)
         return value + 1 if (p, m, n) == (2, 1, 0) else value
 
-    monkeypatch.setattr(verifier_module, "_integral_quotient", one_too_many)
+    monkeypatch.setattr(closed_module, "_integral_quotient", one_too_many)
     with pytest.raises(ArithmeticError, match="integrality violated at p=2 m=1 n=1: 35/2$"):
         closed_table(2, Rect(1, 1))
 
@@ -176,7 +176,7 @@ def test_sweep_takes_no_product_cell(monkeypatch, capsys):
 
 def test_sweep_builds_one_table_per_distinct_power(monkeypatch):
     # Kirkman's r = s = 1 needs the tables of c_1 and c_2 only
-    calls = record_calls(monkeypatch, "closed_table", verifier_module)
+    calls = record_calls(monkeypatch, "closed_table", closed_module)
     assert verify_generalized(1, 1, 6, 6).passed
     assert sorted(p for p, _ in calls) == [1, 2]
 
@@ -198,8 +198,8 @@ def test_sweep_cells_reads_the_tables_by_rows(monkeypatch):
 @pytest.mark.parametrize("p, size", [(5, 12), (1, 6)])
 def test_cross_check_methods_reads_the_tables_by_rows(monkeypatch, p, size):
     calls = record_calls(monkeypatch, "__getitem__", BiSeries)
-    reports = cross_check_methods(p, size, size)
-    assert len(reports) == (size + 1) ** 2
+    rows = cross_check_methods(p, size, size)
+    assert len(rows) == (size + 1) ** 2
     assert calls == []
     # the spy sees a read by cell
     assert BiSeries.one(Rect(0, 0))[0, 0] == 1
@@ -215,35 +215,28 @@ def test_report_verdict_follows_its_counterexample():
 
 
 def test_cross_check_single_cell():
-    reports = cross_check_methods(1, 0, 0)
-    assert len(reports) == 1
-    report = reports[0]
-    values = report.values
-    assert values["closed"] == values["series"] == values["lagrange"] == 1
-    assert values["radical"] == 1
-    assert report.agree
+    # (m, n, closed, series, lagrange, radical, agree), in kirkman.ROUTES order
+    assert cross_check_methods(1, 0, 0) == [(0, 0, 1, 1, 1, 1, True)]
 
 
 def test_cross_check_square_window():
-    reports = cross_check_methods(2, 5, 5)
-    assert len(reports) == 36
-    assert all(r.agree for r in reports)
-    assert all(r.values["radical"] is None for r in reports)
+    rows = cross_check_methods(2, 5, 5)
+    assert len(rows) == 36
+    assert all(agree for *_, agree in rows)
+    assert all(radical is None for *_, radical, _ in rows)
 
 
 def test_cross_check_catalan_row():
-    reports = cross_check_methods(1, 4, 0)
-    values = [r.values["closed"] for r in reports]
-    assert values == [catalan(m + 1) for m in range(5)]
-    for r in reports:
-        assert r.values["series"] == r.values["closed"]
-        assert r.values["lagrange"] == r.values["closed"]
-        assert r.values["radical"] == r.values["closed"]
+    rows = cross_check_methods(1, 4, 0)
+    assert [closed for _, _, closed, *_ in rows] == [catalan(m + 1) for m in range(5)]
+    for m, n, closed, series, lagrange, radical, agree in rows:
+        assert series == lagrange == radical == closed
+        assert agree
 
 
 def test_verify_reports_first_counterexample(monkeypatch):
     # corrupt the rhs coefficient at (p, M, N) = (2, 1, 0)
-    monkeypatch.setattr(verifier_module, "closed_table", corrupted_closed_table)
+    monkeypatch.setattr(closed_module, "closed_table", corrupted_closed_table)
     report = verify_generalized(1, 1, 2, 2)
     assert not report.passed
     assert report.status == "fail"
@@ -255,7 +248,7 @@ def test_verify_reports_first_counterexample(monkeypatch):
 
 
 def test_sweep_cells_stops_at_the_reported_counterexample(monkeypatch):
-    monkeypatch.setattr(verifier_module, "closed_table", corrupted_closed_table)
+    monkeypatch.setattr(closed_module, "closed_table", corrupted_closed_table)
     cells = list(sweep_cells(1, 1, 2, 2))
     c = verify_generalized(1, 1, 2, 2).first_counterexample
     assert cells[-1] == (c.M, c.N, c.lhs, c.rhs) == (1, 0, 4, 5)
@@ -264,16 +257,22 @@ def test_sweep_cells_stops_at_the_reported_counterexample(monkeypatch):
 
 def test_cross_check_detects_route_disagreement(monkeypatch):
     corrupt_route(monkeypatch, "lagrange_table", 7)
-    reports = cross_check_methods(1, 1, 1)
-    assert [r.agree for r in reports] == [False, True, True, True]
-    assert reports[0].values["closed"] == reports[0].values["series"] == 1
-    assert reports[0].values["lagrange"] == 8
+    rows = cross_check_methods(1, 1, 1)
+    assert [agree for *_, agree in rows] == [False, True, True, True]
+    assert rows[0] == (0, 0, 1, 1, 8, 1, False)
 
 
-def test_coeff_report_agree_includes_radical():
-    healthy = CoeffReport(1, 1, dict(closed=5, series=5, lagrange=5, radical=5))
-    assert healthy.agree
-    broken_radical = CoeffReport(1, 1, dict(closed=5, series=5, lagrange=5, radical=6))
-    assert not broken_radical.agree
-    without_radical = CoeffReport(1, 1, dict(closed=14, series=14, lagrange=14, radical=None))
-    assert without_radical.agree
+def test_coeff_report_agree_includes_radical(monkeypatch):
+    # a row's agree reads the radical column where there is one, and skips its None
+    assert cross_check_methods(1, 1, 1)[-1] == (1, 1, 5, 5, 5, 5, True)
+    assert cross_check_methods(2, 1, 1)[-1] == (1, 1, 14, 14, 14, None, True)
+    corrupt_route(monkeypatch, "radical_series", 1)
+    assert cross_check_methods(1, 1, 1)[0] == (0, 0, 1, 1, 1, 2, False)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_cross_check_rows_are_the_crosscheck_json_lines_records(capsys, p):
+    argv = ["crosscheck", "--p", str(p), "--max-m", "3", "--max-n", "2", "--format", "json-lines"]
+    assert main(argv) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [tuple(record.values()) for record in records] == cross_check_methods(p, 3, 2)
