@@ -26,8 +26,7 @@ _HOMES = {
         "formulas": "binomial closed_form_coeff fixpoint_series power_series radical_series",
         "lagrange": "build_phi lagrange_coeff lagrange_table",
         "series": "BiSeries Rect poly",
-        "verifier": "Counterexample VerifyReport convolution_lhs sweep_cells verify_cayley "
-        "verify_generalized",
+        "verifier": "Counterexample VerifyReport convolution_lhs sweep_cells verify_generalized",
     }.items()
     for name in names.split()
 }

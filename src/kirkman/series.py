@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from operator import add, mul, sub
 from typing import (
-    TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+    TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 )
 
 if TYPE_CHECKING:
@@ -116,12 +116,6 @@ class Rect(NamedTuple("Rect", [("max_a", int), ("max_b", int)])):
 
     def contains(self, a: int, b: int) -> bool:
         return 0 <= a <= self.max_a and 0 <= b <= self.max_b
-
-    def cells(self) -> Iterator[tuple[int, int]]:
-        """All indices in the rectangle, first variable outer, ascending."""
-        for a in range(self.max_a + 1):
-            for b in range(self.max_b + 1):
-                yield a, b
 
     def __str__(self) -> str:
         return f"({self.max_a}, {self.max_b})"
@@ -219,10 +213,6 @@ class BiSeries:
         return cls(table)
 
     @classmethod
-    def zero(cls, rect: Rect) -> BiSeries:
-        return cls([(0,) * (rect.max_b + 1)] * (rect.max_a + 1))
-
-    @classmethod
     def one(cls, rect: Rect) -> BiSeries:
         return cls.from_table(rect, {(0, 0): 1})
 
@@ -233,12 +223,6 @@ class BiSeries:
         if not self.rect.contains(a, b):
             raise IndexError(f"index out of rectangle: ({a}, {b}) not in {self.rect}")
         return self.coeff[a][b]
-
-    def restrict(self, rect: Rect) -> BiSeries:
-        """Truncation to a sub-rectangle."""
-        if rect.max_a > self.rect.max_a or rect.max_b > self.rect.max_b:
-            raise ValueError(f"rectangle out of range: {rect} not inside {self.rect}")
-        return BiSeries(row[: rect.max_b + 1] for row in self.coeff[: rect.max_a + 1])
 
     # ---- ring operations ----
 

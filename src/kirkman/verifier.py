@@ -286,8 +286,3 @@ def verify_generalized(r: int, s: int, max_M: int, max_N: int) -> VerifyReport:
     if lhs != rhs:
         return VerifyReport(params_range, checked, Counterexample(r, s, M, N, lhs, rhs))
     return VerifyReport(params_range, checked)
-
-
-def verify_cayley(max_M: int) -> VerifyReport:
-    """The N = 0 special case of the r = s = 1 sweep, as a named entry point."""
-    return verify_generalized(1, 1, max_M, 0)

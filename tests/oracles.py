@@ -21,9 +21,19 @@ Every test double of the suite is defined here once:
   ``kirkman.ROUTES`` reads when called;
 - ``corrupt_radical_root`` shifts a numerator of the radical route's
   square root before its exact division;
+- ``interrupted`` is a route builder that raises ``KeyboardInterrupt``,
+  as Ctrl-C does;
 - ``times_one_plus_half_y`` stands in for the Lagrange route's step
   ``_times_phi`` with phi = 1 + y/2, whose powers are not integral;
 - ``cli_env`` is the environment of a CLI run in a subprocess.
+
+Beyond what they wrap, the corruption doubles call no library code that
+commands do not run themselves (the ``BiSeries`` constructor and
+``Rect.contains``), so the line-trace gate (``test_src_runs``) counts only
+what a command runs.  They look a module up when they patch it, so they
+patch the modules a command imports then.
+
+``cells`` and ``truncated`` walk and cut a window for the tests.
 """
 
 from __future__ import annotations
@@ -31,11 +41,11 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from importlib import import_module
+from itertools import product
 from math import comb
 from pathlib import Path
 
 import kirkman
-from kirkman import formulas
 from kirkman.closed import closed_table
 from kirkman.series import BiSeries, Rect, poly
 
@@ -91,6 +101,16 @@ def catalan(k: int) -> int:
     return comb(2 * k, k) // (k + 1)
 
 
+def cells(rect: Rect):
+    """Every index (a, b) of ``rect``, first variable outer, ascending."""
+    return product(range(rect.max_a + 1), range(rect.max_b + 1))
+
+
+def truncated(x: BiSeries, rect: Rect) -> BiSeries:
+    """``x`` cut down to ``rect``, a rectangle inside its own, by slices of its rows."""
+    return BiSeries(row[: rect.max_b + 1] for row in x.coeff[: rect.max_a + 1])
+
+
 def quadratic_residual(f: BiSeries) -> BiSeries:
     """z(z+w) f^2 + (2z+w-1) f + 1 on f's own window."""
     window = f.rect
@@ -103,7 +123,7 @@ def quadratic_residual(f: BiSeries) -> BiSeries:
 def random_series(rng, rect: Rect, constant=None) -> BiSeries:
     """Random table with numerators in [-9, 9] and denominators in [1, 9]."""
     entries = {}
-    for a, b in rect.cells():
+    for a, b in cells(rect):
         entries[a, b] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
     if constant is not None:
         entries[0, 0] = Fraction(constant)
@@ -131,7 +151,9 @@ def corrupted_closed_table(p: int, window: Rect) -> BiSeries:
     """The closed route as every command sees it, with c_2(1, 0) one too large."""
     table = closed_table(p, window)
     if p == 2 and window.contains(1, 0):
-        return table + BiSeries.from_table(window, {(1, 0): 1})
+        return BiSeries(
+            [row[0] + 1, *row[1:]] if m == 1 else row for m, row in enumerate(table.coeff)
+        )
     return table
 
 
@@ -150,20 +172,26 @@ def corrupt_route(monkeypatch, route: str, delta, owner=None) -> None:
     original = getattr(owner, route)
 
     def corrupted(*args):
-        table = original(*args)
-        return table + BiSeries.from_table(table.rect, {(0, 0): delta})
+        (first, *rest), *rows = original(*args).coeff
+        return BiSeries([(first + delta, *rest), *rows])
 
     monkeypatch.setattr(owner, route, corrupted)
 
 
 def corrupt_radical_root(monkeypatch, m: int, n: int, delta: int) -> None:
     """Add ``delta`` to the numerator the radical route divides by m at root cell (m, n)."""
+    formulas = import_module("kirkman.formulas")
     divide = formulas._root_cell
 
     def corrupted(num, a, b):
         return divide(num + (delta if (a, b) == (m, n) else 0), a, b)
 
     monkeypatch.setattr(formulas, "_root_cell", corrupted)
+
+
+def interrupted(p: int, window: Rect) -> BiSeries:
+    """A route builder stopped by Ctrl-C."""
+    raise KeyboardInterrupt
 
 
 def times_one_plus_half_y(g: tuple) -> tuple:

@@ -30,6 +30,7 @@ from oracles import (
     corrupt_radical_root,
     corrupt_route,
     corrupted_closed_table,
+    interrupted,
     record_calls,
     scaled_closed_table,
     times_one_plus_half_y,
@@ -169,9 +170,6 @@ def test_main_restores_the_callers_sigpipe_disposition(capsys):
 def test_ctrl_c_exits_130_quietly_and_restores_the_callers_settings(monkeypatch, capsys, argv):
     # a route interrupted by Ctrl-C ends the command with the shell's status
     # for SIGINT and no traceback, and main still gives back SIGPIPE and the limit
-    def interrupted(p, window):
-        raise KeyboardInterrupt
-
     monkeypatch.setattr(closed_module, "closed_table", interrupted)
     limit = sys.get_int_max_str_digits()
     pipe = signal.signal(signal.SIGPIPE, signal.SIG_IGN)
@@ -784,6 +782,10 @@ WINDOW = ["--max-m", "2", "--max-n", "2"]
          CLI | {"kirkman.formulas", "kirkman.series"}),
         (["expand", "--p", "1", *WINDOW, "--method", "radical", "--format", "csv"], 0,
          CLI | {"kirkman.formulas", "kirkman.series"}),
+        (["expand", "--p", "1", *WINDOW, "--method", "series"], 0,
+         CLI | {"kirkman.formulas", "kirkman.series"}),
+        (["expand", "--p", "1", *WINDOW, "--method", "lagrange"], 0,
+         CLI | {"kirkman.lagrange", "kirkman.series"}),
         # the route refuses p = 2 before reading its builder
         (["expand", "--p", "2", *WINDOW, "--method", "radical"], 2, CLI | {"kirkman.series"}),
         (["expand", "--p", "1", *WINDOW, "--method", "closed"], 0,
@@ -793,8 +795,8 @@ WINDOW = ["--max-m", "2", "--max-n", "2"]
         # the cross-check lives with the closed route, away from the sweep
         (["crosscheck", "--p", "1", *WINDOW], 0, CLI | ARITHMETIC - {"kirkman.verifier"}),
     ],
-    ids=["help", "verify-help", "usage-error", "coeff", "expand-radical", "expand-radical-p2",
-         "expand-closed", "verify-csv", "crosscheck"],
+    ids=["help", "verify-help", "usage-error", "coeff", "expand-radical", "expand-series",
+         "expand-lagrange", "expand-radical-p2", "expand-closed", "verify-csv", "crosscheck"],
 )
 def test_a_command_loads_only_the_arithmetic_it_runs(preloaded, argv, code, loads):
     # exactly the kirkman modules the command runs, and fractions or decimal

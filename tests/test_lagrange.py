@@ -26,7 +26,7 @@ def solve_y_fixpoint(window: Rect) -> BiSeries:
     """
     phi = build_phi(Rect(window.max_a, window.max_b))
     z = poly(window, {(1, 0): 1})
-    y = BiSeries.zero(window)
+    y = BiSeries.from_table(window, {})
     for _ in range(window.max_a):
         y = z * substitute(phi, y, window)
     return y
@@ -155,7 +155,7 @@ def test_solve_y_matches_base_series():
 
 def test_solve_y_residual_vanishes():
     y = solve_y_fixpoint(Rect(5, 4))
-    assert fixed_point_residual(y) == BiSeries.zero(Rect(5, 4))
+    assert fixed_point_residual(y) == BiSeries.from_table(Rect(5, 4), {})
 
 
 def test_intermediate_binomial_identity():
@@ -170,7 +170,7 @@ def test_intermediate_binomial_identity():
 
 def test_solve_y_window_without_z_degrees():
     # max_a = 0 leaves no room for any z power: y is the zero series
-    assert solve_y_fixpoint(Rect(0, 4)) == BiSeries.zero(Rect(0, 4))
+    assert solve_y_fixpoint(Rect(0, 4)) == BiSeries.from_table(Rect(0, 4), {})
 
 
 def test_catalan_through_lagrange():

@@ -44,8 +44,8 @@ def test_value_type_contract(make, field):
 
 def test_unequal_fields_give_unequal_values():
     assert Rect(1, 2) != Rect(2, 1)
-    assert BiSeries.zero(Rect(1, 2)) != BiSeries.one(Rect(1, 2))
-    assert BiSeries.zero(Rect(1, 2)) != BiSeries.zero(Rect(2, 1))
+    assert BiSeries.from_table(Rect(1, 2), {}) != BiSeries.one(Rect(1, 2))
+    assert BiSeries.from_table(Rect(1, 2), {}) != BiSeries.from_table(Rect(2, 1), {})
 
 
 def test_readme_library_block_values():
@@ -64,7 +64,7 @@ def test_readme_library_block_values():
 
 
 def test_series_repr_and_no_scalar_arithmetic():
-    x = BiSeries.zero(Rect(1, 2))
+    x = BiSeries.from_table(Rect(1, 2), {})
     assert repr(x) == "<BiSeries on (1, 2)>"
     with pytest.raises(TypeError):
         2 * x

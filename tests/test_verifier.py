@@ -19,11 +19,10 @@ from kirkman.verifier import (
     VerifyReport,
     convolution_lhs,
     sweep_cells,
-    verify_cayley,
     verify_generalized,
 )
 
-from oracles import catalan, corrupt_route, corrupted_closed_table, record_calls
+from oracles import catalan, cells, corrupt_route, corrupted_closed_table, record_calls
 
 
 def test_identity_params_validation():
@@ -42,7 +41,7 @@ def test_closed_table_equals_closed_form():
     for window in (Rect(25, 25), Rect(24, 16)):
         for p in range(1, 7):
             table = closed_table(p, window)
-            for m, n in window.cells():
+            for m, n in cells(window):
                 assert table[m, n] == closed_form_coeff(p, m, n), (p, m, n)
 
 
@@ -111,7 +110,7 @@ def test_convolution_lhs_is_a_product_cell():
     for r, s in [(1, 1), (2, 1), (2, 3)]:
         product = power_series(r, window) * power_series(s, window)
         x, y = closed_table(r, window), closed_table(s, window)
-        for M, N in window.cells():
+        for M, N in cells(window):
             assert convolution_lhs(x, y, M, N) == product[M, N]
 
 
@@ -148,15 +147,12 @@ def test_verify_symmetry_in_r_and_s():
     assert left.checked_count == right.checked_count
 
 
-def test_verify_cayley_entry_point():
-    assert verify_cayley(0).passed
-    report = verify_cayley(50)
+def test_verify_cayley_case():
+    # Cayley's case is the N = 0 sweep of r = s = 1
+    assert verify_generalized(1, 1, 0, 0).passed
+    report = verify_generalized(1, 1, 50, 0)
     assert report.passed
     assert report.checked_count == 51
-
-
-def test_verify_cayley_matches_generalized():
-    assert verify_cayley(30) == verify_generalized(1, 1, 30, 0)
 
 
 def test_sweep_takes_no_product_cell(monkeypatch, capsys):
