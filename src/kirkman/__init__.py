@@ -23,7 +23,7 @@ _HOMES = {
     name: module
     for module, names in {
         "closed": "closed_table cross_check_methods",
-        "formulas": "binomial closed_form_coeff fixpoint_series power_series radical_series",
+        "formulas": "closed_form_coeff fixpoint_series power_series radical_series",
         "lagrange": "build_phi lagrange_coeff lagrange_table",
         "series": "BiSeries Rect poly",
         "verifier": "Counterexample VerifyReport convolution_lhs sweep_cells verify_generalized",

@@ -25,19 +25,10 @@ only adds ints.  No route reads another route's table.
 
 from __future__ import annotations
 
-import math
 from itertools import accumulate
+from math import comb
 
 from .series import BiSeries, Rect, _check_power, _integral_quotient, _quotient
-
-
-def binomial(a: int, b: int) -> int:
-    """C(a, b) for a >= 0, with the convention 0 outside 0 <= b <= a."""
-    if a < 0:
-        raise ValueError("negative upper index unsupported")
-    if b < 0 or b > a:
-        return 0
-    return math.comb(a, b)
 
 
 def closed_form_coeff(p: int, m: int, n: int) -> int:
@@ -49,7 +40,7 @@ def closed_form_coeff(p: int, m: int, n: int) -> int:
     _check_power(p)
     if m < 0 or n < 0:
         raise ValueError(f"exponents must be non-negative, got ({m}, {n})")
-    numerator = p * binomial(m + n + p - 1, n) * binomial(2 * m + n + 2 * p, m + n + 2 * p)
+    numerator = p * comb(m + n + p - 1, n) * comb(2 * m + n + 2 * p, m + n + 2 * p)
     return _integral_quotient(numerator, m + p, p, m, n)
 
 

@@ -9,7 +9,7 @@ positional; the same type serves series in (z, w) and in (y, w), and it is
 the table type that every route and the identity sweep share.
 
 Cells are ``int`` or ``Fraction``.  The divisions here (construction,
-which divides by 1, and the powers) go through one divider, ``_quotient``:
+which divides by 1, and the inverses) go through one divider, ``_quotient``:
 it stores a plain ``int`` when the result is an integer and a ``Fraction``
 only when it is not, and it divides an int by an int by ``divmod``, so an
 integer quotient never passes through a ``Fraction``.  The routes' integral
@@ -22,22 +22,10 @@ from integers therefore holds only ints unless some division in it leaves a
 remainder, and ``fractions`` is imported only for such a value, so integer
 arithmetic never loads it.
 
-The power kernel, ``_power``, fills a power s = x^(num/den) of an x with
-x[0,0] != 0 (``reciprocal`` and ``sqrt``; no route runs either) by
-J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, section 4.7) in the first
-variable, whose coefficients are series in the second: from
-x s' = (num/den) s x', for every row a >= 1,
-
-    den a x[0,0] s[a,b] = sum over i, j of ((num+den) i - den a) x[i,j] s[a-i,b-j],
-
-summed while s[a,b] still holds 0, which drops exactly the pairing of x[0,0]
-with s[a,b] moved to the left side.  The weight depends only on the rows i
-and a, so each target row weights x's rows once and each cell is one product
-cell.  Row 0, x[0]^(num/den), comes from the same recurrence in the second
-variable (i, a -> j, b), with no binomial.  Cells are filled in row-major
-order, so every other cell read is already filled, and only the operand's
-rows up to its last nonzero one are read: a radicand linear in the first
-variable, such as (1-w)^2 - 4z, has two.
+There is no power kernel: the product, the reciprocal and the square root
+each fill their table in row-major order by ``_fill``, one product cell per
+cell, summed while the target cell still holds 0.  Only the product and the
+reciprocal read just the operand's nonzero rows.  No route runs either inverse.
 
 The constructor freezes the rows it is given, so a value is immutable once
 built, and every operation is a pure function: instances may be shared
@@ -140,23 +128,14 @@ def _nonzero_rows(x: Sequence[Sequence[Scalar]]) -> Sequence[Sequence[Scalar]]:
     return x[:end]
 
 
-def _power(x: BiSeries, num: int, den: int, seed: Scalar) -> BiSeries:
-    # x^(num/den) with constant term ``seed``, by the recurrences of the
-    # module docstring multiplied through by den
-    x00, first = x.coeff[0][0], x.coeff[0]
-    rows = _nonzero_rows(x.coeff)
-    k = num + den
-    out: list[list[Scalar]] = [[0] * len(row) for row in x.coeff]
-    top = out[0]
-    top[0] = seed
-    for b in range(1, len(top)):
-        value = sum((k * j - den * b) * first[j] * top[b - j] for j in range(1, b + 1))
-        top[b] = _quotient(value, den * b * x00)
-    for a in range(1, len(out)):
-        weighted = [[(k * i - den * a) * v for v in r] for i, r in enumerate(rows[: a + 1])]
-        for b in range(len(top)):
-            out[a][b] = _quotient(_product_cell(weighted, out, a, b), den * a * x00)
-    return BiSeries(out)
+def _fill(rect: Rect, cell: Callable[[list[list[Scalar]], int, int], Scalar]) -> BiSeries:
+    # the table on rect whose cell (a, b) is cell(table, a, b), filled in
+    # row-major order: the cells before (a, b) are filled, the rest hold 0
+    table: list[list[Scalar]] = [[0] * (rect.max_b + 1) for _ in range(rect.max_a + 1)]
+    for a, row in enumerate(table):
+        for b in range(rect.max_b + 1):
+            row[b] = cell(table, a, b)
+    return BiSeries(table)
 
 
 class BiSeries:
@@ -248,10 +227,7 @@ class BiSeries:
         """
         self._require_same_rect(other)
         x, y = _nonzero_rows(self.coeff), other.coeff
-        return BiSeries(
-            (_product_cell(x, y, a, b) for b in range(self.rect.max_b + 1))
-            for a in range(self.rect.max_a + 1)
-        )
+        return _fill(self.rect, lambda out, a, b: _product_cell(x, y, a, b))
 
     def __pow__(self, exponent: int) -> BiSeries:
         """Truncated power by binary exponentiation; exponent 0 gives 1."""
@@ -273,29 +249,28 @@ class BiSeries:
     def reciprocal(self) -> BiSeries:
         """Multiplicative inverse on the rectangle.
 
-        The power x^-1 of the module docstring's recurrence.  Its weights
-        are all -a (-b in row 0); they are applied, and the division by
-        a x[0,0] (b x[0,0] in row 0) cancels them, so each cell is
-        r[a,b] = -(x * r)[a,b] / x[0,0], summed while r[a,b] still holds 0.
-        Each cell reads only x's nonzero rows.
+        Each cell is r[a,b] = ([a = b = 0] - (x * r)[a,b]) / x[0,0], summed
+        while r[a,b] still holds 0, and reads only x's nonzero rows.
         """
-        x = self.coeff
-        if x[0][0] == 0:
+        x, x00 = _nonzero_rows(self.coeff), self.coeff[0][0]
+        if x00 == 0:
             raise ValueError("not invertible: zero constant term")
-        return _power(self, -1, 1, _quotient(1, x[0][0]))
+        return _fill(self.rect, lambda r, a, b:
+                     _quotient((a == b == 0) - _product_cell(x, r, a, b), x00))
 
     def sqrt(self) -> BiSeries:
         """Square root with constant term +1.
 
         Only radicands with constant term exactly 1 are supported; the sign
-        choice is fixed to +1.  The power x^(1/2) of the module docstring's
-        recurrence: 2a s[a,b] = sum of (3i - 2a) x[i,j] s[a-i,b-j], summed
-        while s[a,b] still holds 0.  Each cell is one product cell over x's
-        nonzero rows, so a radicand of degree 1 in z costs two rows per cell.
+        choice is fixed to +1.  s[0,0] is 1 and every other cell is
+        s[a,b] = (x[a,b] - (s * s)[a,b]) / 2, summed while s[a,b] still
+        holds 0, which drops the two pairings of s[a,b] with s[0,0].
         """
-        if self.coeff[0][0] != 1:
+        x = self.coeff
+        if x[0][0] != 1:
             raise ValueError("unsupported radicand: constant term must be 1")
-        return _power(self, 1, 2, 1)
+        return _fill(self.rect, lambda s, a, b:
+                     _quotient(x[a][b] - _product_cell(s, s, a, b), 2) if a or b else 1)
 
     # ---- exact divisions ----
 

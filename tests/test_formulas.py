@@ -15,7 +15,6 @@ import pytest
 
 from kirkman import formulas, lagrange, series
 from kirkman.formulas import (
-    binomial,
     closed_form_coeff,
     fixpoint_series,
     power_series,
@@ -36,19 +35,6 @@ from oracles import (
 )
 
 
-def test_binomial_values():
-    assert binomial(5, 2) == 10
-    assert binomial(3, 5) == 0
-    assert binomial(9, 8) == 9
-    assert binomial(4, -1) == 0
-    assert binomial(0, 0) == 1
-
-
-def test_binomial_negative_upper_index():
-    with pytest.raises(ValueError, match="negative upper index"):
-        binomial(-1, 0)
-
-
 def test_closed_form_examples():
     assert closed_form_coeff(1, 0, 0) == 1
     assert closed_form_coeff(1, 1, 1) == 5
@@ -67,7 +53,7 @@ def test_closed_form_reduces_to_first_power_display():
     # p=1 must reduce to (1/(m+1)) C(m+n, n) C(2m+n+2, m+n+2)
     for m in range(9):
         for n in range(9):
-            expected = Fraction(1, m + 1) * binomial(m + n, n) * binomial(2 * m + n + 2, m + n + 2)
+            expected = Fraction(1, m + 1) * comb(m + n, n) * comb(2 * m + n + 2, m + n + 2)
             assert closed_form_coeff(1, m, n) == expected
 
 
@@ -75,7 +61,7 @@ def test_closed_form_reduces_to_second_power_display():
     # p=2 must reduce to (2/(m+2)) C(m+n+1, n) C(2m+n+4, m+n+4)
     for m in range(9):
         for n in range(9):
-            expected = Fraction(2, m + 2) * binomial(m + n + 1, n) * binomial(2 * m + n + 4, m + n + 4)
+            expected = Fraction(2, m + 2) * comb(m + n + 1, n) * comb(2 * m + n + 4, m + n + 4)
             assert closed_form_coeff(2, m, n) == expected
 
 
@@ -86,7 +72,7 @@ def test_closed_form_returns_python_int():
 
 def test_closed_form_asserts_integrality(monkeypatch):
     # with every binomial 1, p C C = 1 is not divisible by m + p = 2
-    monkeypatch.setattr(formulas, "binomial", lambda a, b: 1)
+    monkeypatch.setattr(formulas, "comb", lambda a, b: 1)
     with pytest.raises(ArithmeticError, match="integrality violated at p=1 m=1 n=0: 1/2$"):
         closed_form_coeff(1, 1, 0)
 
@@ -315,7 +301,7 @@ def test_series_routes_never_reach_the_closed_form():
     assert "formulas" not in _names(lagrange)
     assert "lagrange" not in _names(formulas)
     # the Lagrange route takes its powers by its own step, not by the series kernels
-    assert not _names(lagrange) & {"_power", "poly", "reciprocal", "restrict"}
+    assert not _names(lagrange) & {"_fill", "poly", "reciprocal", "restrict"}
 
 
 def test_lagrange_route_takes_no_series_power(monkeypatch):
@@ -332,34 +318,34 @@ def test_lagrange_route_takes_no_series_power(monkeypatch):
 
 def test_series_route_is_additions_only(monkeypatch):
     # every power of f comes from the quadratic's own recurrence in running
-    # sums: the route names no product cell, power kernel or divider, calls
+    # sums: the route names no product cell, table filler or divider, calls
     # none, and so needs no integrality check
-    kernels = {"_power", "_product_cell", "_quotient", "_integral_quotient"}
+    kernels = {"_fill", "_product_cell", "_quotient", "_integral_quotient"}
     for source in (formulas.power_series, formulas.fixpoint_series):
         assert not _names(source) & kernels, (source.__name__, _names(source) & kernels)
     calls = record_calls(monkeypatch, "_product_cell", series)
-    calls += record_calls(monkeypatch, "_power", series)
+    calls += record_calls(monkeypatch, "_fill", series)
     table = power_series(5, Rect(12, 12))
     assert calls == []
     assert all(type(value) is int for row in table.coeff for value in row)
-    # the spies see the square root's power kernel and its product cells
+    # the spies see the square root's filler and its product cells
     BiSeries.one(Rect(1, 1)).sqrt()
     assert calls
 
 
 def test_radical_route_takes_no_series_square_root(monkeypatch):
     # the root comes from its own row recurrence in running sums: the route
-    # names and calls no product cell, power kernel or series square root
-    kernels = {"_power", "_product_cell", "sqrt"}
+    # names and calls no product cell, table filler or series square root
+    kernels = {"_fill", "_product_cell", "sqrt"}
     assert not _names(formulas.radical_series) & kernels
     spies = {
         name: record_calls(monkeypatch, name, owner)
-        for name, owner in (("_product_cell", series), ("_power", series), ("sqrt", BiSeries))
+        for name, owner in (("_product_cell", series), ("_fill", series), ("sqrt", BiSeries))
     }
     table = radical_series(Rect(12, 12))
     assert not any(spies.values())
     assert all(type(value) is int for row in table.coeff for value in row)
-    # the spies see the square root, its power kernel and its product cells
+    # the spies see the square root, its filler and its product cells
     BiSeries.one(Rect(1, 1)).sqrt()
     assert all(spies.values())
 

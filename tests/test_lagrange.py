@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from math import comb
+
 import pytest
 
 from kirkman import lagrange as lagrange_module
 from kirkman.closed import closed_table
-from kirkman.formulas import binomial, closed_form_coeff, fixpoint_series
+from kirkman.formulas import closed_form_coeff, fixpoint_series
 from kirkman.lagrange import build_phi, lagrange_coeff, lagrange_table
 from kirkman.series import BiSeries, Rect, poly
 
@@ -165,7 +167,7 @@ def test_intermediate_binomial_identity():
         e = 2 * m + n + 2 * p
         one_plus_y = poly(Rect(m, 0), {(0, 0): 1, (1, 0): 1})
         power = one_plus_y ** e
-        assert power[m, 0] == binomial(e, m) == binomial(e, m + n + 2 * p)
+        assert power[m, 0] == comb(e, m) == comb(e, m + n + 2 * p)
 
 
 def test_solve_y_window_without_z_degrees():

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import subprocess
 import sys
+from functools import reduce
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 
@@ -14,8 +17,7 @@ from oracles import cli_env
 
 HOMES = {
     "closed": ("closed_table", "cross_check_methods"),
-    "formulas": ("binomial", "closed_form_coeff", "fixpoint_series", "power_series",
-                 "radical_series"),
+    "formulas": ("closed_form_coeff", "fixpoint_series", "power_series", "radical_series"),
     "lagrange": ("build_phi", "lagrange_coeff", "lagrange_table"),
     "series": ("BiSeries", "Rect", "poly"),
     "verifier": ("Counterexample", "VerifyReport", "convolution_lhs", "sweep_cells",
@@ -29,7 +31,6 @@ def test_all_lists_every_public_name():
         "Counterexample",
         "Rect",
         "VerifyReport",
-        "binomial",
         "build_phi",
         "closed_form_coeff",
         "closed_table",
@@ -78,3 +79,18 @@ def test_import_loads_a_home_module_only_when_a_name_is_used():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["kirkman", "kirkman kirkman.series"]
+
+
+def test_bench_traced_functions_exist():
+    # bench/run.py times these functions by name: read its LAYER_METRICS
+    # without importing or running the bench, and resolve each in kirkman
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "bench" / "run.py").read_text())
+    (table,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "LAYER_METRICS"
+    ]
+    functions = {function for function, _ in ast.literal_eval(table).values()}
+    assert {"series.BiSeries.sqrt", "formulas.fixpoint_series"} <= functions
+    for function in sorted(functions):
+        module, *path = function.split(".")
+        assert callable(reduce(getattr, path, import_module(f"kirkman.{module}"))), function

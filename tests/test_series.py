@@ -12,7 +12,7 @@ from kirkman import formulas
 from kirkman import series as series_module
 from kirkman.formulas import fixpoint_series, power_series, radical_series
 from kirkman.closed import closed_table
-from kirkman.series import BiSeries, NotDivisibleError, Rect, _power, poly
+from kirkman.series import BiSeries, NotDivisibleError, Rect, poly
 from kirkman.verifier import (
     _kronecker_product, _slot_layout, _split_cost, _split_row, convolution_lhs
 )
@@ -218,61 +218,32 @@ def test_sqrt_roundtrip_random():
         assert root * root == x
 
 
-def _rows_0_and_2(rng, max_den, constant=1):
+def _rows_0_and_2(rng, max_den):
     # nonzero only in rows 0 and 2 of a 7-row window: an interior zero row
-    # (row 1) and four trailing zero rows, every entry times ``constant`` and
-    # the constant term ``constant``; max_den = 1 gives int cells
+    # (row 1) and four trailing zero rows, with constant term 1; max_den = 1
+    # gives int cells
     entries = {
-        (a, b): constant * Fraction(rng.randint(-9, 9), rng.randint(1, max_den))
+        (a, b): Fraction(rng.randint(-9, 9), rng.randint(1, max_den))
         for a in (0, 2)
         for b in range(5)
     }
-    entries[0, 0] = constant
+    entries[0, 0] = 1
     return BiSeries.from_table(Rect(6, 4), entries)
 
 
 @pytest.mark.parametrize("max_den", [1, 9], ids=["int", "fraction"])
-def test_inverses_roundtrip_with_zero_rows(max_den):
+def test_inverses_roundtrip_with_zero_rows(max_den, monkeypatch):
     rng = random.Random(31)
+    calls = record_calls(monkeypatch, "_product_cell", series_module)
     for _ in range(5):
         x = _rows_0_and_2(rng, max_den)
+        calls.clear()
         assert x * x.reciprocal() == BiSeries.one(x.rect)
+        # the reciprocal and the product read only x's rows up to row 2
+        assert calls and max(len(left) for left, *_ in calls) == 3
         root = x.sqrt()
         assert root[0, 0] == 1
         assert root * root == x
-
-
-def _power_operands(max_den, constant):
-    # dense tables and tables nonzero only in rows 0 and 2, all with constant
-    # term ``constant``; max_den = 1 gives int cells
-    rng = random.Random(41)
-    dense = []
-    for _ in range(8):
-        rect = Rect(rng.randint(0, 4), rng.randint(0, 4))
-        entries = {
-            (a, b): Fraction(rng.randint(-9, 9), rng.randint(1, max_den)) for a, b in cells(rect)
-        }
-        entries[0, 0] = constant
-        dense.append(BiSeries.from_table(rect, entries))
-    return dense + [_rows_0_and_2(rng, max_den, constant) for _ in range(3)]
-
-
-@pytest.mark.parametrize("max_den", [1, 9], ids=["int", "fraction"])
-def test_power_kernel_positive_integer_exponent(max_den):
-    for x in _power_operands(max_den, constant=2):
-        assert _power(x, 5, 1, 32) == x ** 5
-
-
-@pytest.mark.parametrize("max_den", [1, 9], ids=["int", "fraction"])
-def test_power_kernel_negative_exponent(max_den):
-    for x in _power_operands(max_den, constant=-3):
-        assert _power(x, -2, 1, Fraction(1, 9)) * x * x == BiSeries.one(x.rect)
-
-
-@pytest.mark.parametrize("max_den", [1, 9], ids=["int", "fraction"])
-def test_power_kernel_cube_root(max_den):
-    for x in _power_operands(max_den, constant=1):
-        assert _power(x, 1, 3, 1) ** 3 == x
 
 
 @pytest.mark.parametrize("max_den", [1, 9], ids=["int", "fraction"])
@@ -289,19 +260,16 @@ def test_mul_left_factor_with_zero_tail_rows(max_den):
 
 
 def test_radical_sqrt_reads_two_operand_rows(monkeypatch):
-    # the radicand (1-w)^2 - 4z has degree 1 in z, so every product cell of
-    # its square root reads at most 2 rows of the left table; the kernel's
-    # root is the one the radical route builds by its own row recurrence
+    # the square root of the radicand (1-w)^2 - 4z is the root the radical
+    # route builds by its own row recurrence
     divisions = record_calls(monkeypatch, "_root_cell", formulas)
     radical_series(Rect(24, 24))
     rows: dict = {}
     for num, a, b in divisions:  # root cell (a, b) is num / a, in row-major order
         rows.setdefault(a, []).append(num // a)
     root = BiSeries([(1, -1, *(0,) * 23), *rows.values()])  # row 0 is 1 - w
-    calls = record_calls(monkeypatch, "_product_cell", series_module)
     radicand = poly(root.rect, {(0, 0): 1, (0, 1): -2, (0, 2): 1, (1, 0): -4})
     assert radicand.sqrt() == root
-    assert calls and max(len(x) for x, *_ in calls) <= 2
 
 
 def test_div_z():

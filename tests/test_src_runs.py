@@ -13,7 +13,11 @@ A statement is found by ``ast``, keyed by its module, its qualified name
 and its first line stripped, never by a line number, and it ran when a
 trace event fell on one of its own lines: a simple statement's lines, or
 a compound statement's header.  So an edit elsewhere, or the line tables
-of another Python version, move no entry.
+of another Python version, move no entry.  A lambda runs on no line of its
+own, since its line is its statement's: it is keyed by its module, the
+qualified name of its scope with ``.<lambda>`` appended and its first line
+stripped, and it ran when its code object was called.  Lambdas that start
+on one line share a key, and one call counts for all of them.
 """
 
 from __future__ import annotations
@@ -61,9 +65,16 @@ def _blocks(node: ast.AST) -> list[list[ast.stmt]]:
     return blocks
 
 
+def _lambdas(node: ast.stmt) -> list[ast.Lambda]:
+    # the lambdas in node's own expressions, not in the statements nested in it
+    nested = {id(inner) for block in _blocks(node) for stmt in block for inner in ast.walk(stmt)}
+    return [n for n in ast.walk(node) if isinstance(n, ast.Lambda) and id(n) not in nested]
+
+
 def _statements(source: str) -> Iterator[tuple[str, str, range]]:
     # (scope, first line stripped, own lines) of each statement that compiles
-    # to code; scope is the dotted path of the enclosing classes and functions
+    # to code, and (scope.<lambda>, first line stripped, first line) of each
+    # lambda; scope is the dotted path of the enclosing classes and functions
     lines = source.splitlines()
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -84,6 +95,9 @@ def _statements(source: str) -> Iterator[tuple[str, str, range]]:
                 first = min([node.lineno, *(d.lineno for d in getattr(node, "decorator_list", ()))])
                 last = blocks[0][0].lineno - 1 if blocks else node.end_lineno
                 yield scope, lines[node.lineno - 1].strip(), range(first, max(first, last) + 1)
+            for lam in _lambdas(node):
+                own = range(lam.lineno, lam.lineno + 1)
+                yield f"{scope}.<lambda>", lines[lam.lineno - 1].strip(), own
             named = isinstance(node, (*functions, ast.ClassDef))
             inner = f"{scope}.{node.name}" if named else scope
             for block in blocks:
@@ -92,36 +106,50 @@ def _statements(source: str) -> Iterator[tuple[str, str, range]]:
     yield from walk(ast.parse(source).body, "", False)
 
 
+def _by_file(events: set[tuple[str, int]]) -> dict[Path, set[int]]:
+    lines: dict[Path, set[int]] = {}
+    for file, line in events:
+        lines.setdefault(Path(file).resolve(), set()).add(line)
+    return lines
+
+
 def unrun_statements(
-    sources: Mapping[str, Path], ran: set[tuple[str, int]], allowed: Mapping[tuple[str, str], str]
+    sources: Mapping[str, Path],
+    trace: tuple[set[tuple[str, int]], set[tuple[str, int]]],
+    allowed: Mapping[tuple[str, str], str],
 ) -> list[str]:
     """What fails the gate: each statement of ``sources`` (module name -> file)
-    that no (file, line) of ``ran`` reached and ``allowed`` does not name, and
-    each key of ``allowed`` that names no statement left unrun."""
-    lines_ran: dict[Path, set[int]] = {}
-    for file, line in ran:
-        lines_ran.setdefault(Path(file).resolve(), set()).add(line)
+    that no line of ``trace`` reached and each lambda there that ``trace``
+    never called, unless ``allowed`` names it; and each key of ``allowed``
+    that names no statement or lambda left unrun.  ``trace`` is the pair of
+    sets ``line_trace`` collects."""
+    lines_ran, lambdas_called = map(_by_file, trace)
     problems, found, needed = [], set(), set()
     for module, path in sources.items():
         done = lines_ran.get(path.resolve(), set())
+        called = lambdas_called.get(path.resolve(), set())
         for scope, text, own in _statements(path.read_text()):
             key = (module + scope, text)
             found.add(key)
-            if done.isdisjoint(own):
+            is_lambda = scope.endswith(".<lambda>")
+            if (called if is_lambda else done).isdisjoint(own):
                 if key in allowed:
                     needed.add(key)
                 else:
-                    problems.append(f"{path.name}:{own[0]}: {key[0]}: never ran: {text}")
+                    verb = "called" if is_lambda else "ran"
+                    problems.append(f"{path.name}:{own[0]}: {key[0]}: never {verb}: {text}")
     for key in sorted(allowed.keys() - needed):
         problems.append(f"allow-list entry {key}: {'runs' if key in found else 'no such statement'}")
     return problems
 
 
 @contextlib.contextmanager
-def line_trace(root: Path) -> Iterator[set[tuple[str, int]]]:
+def line_trace(root: Path) -> Iterator[tuple[set[tuple[str, int]], set[tuple[str, int]]]]:
     """Collect (file, line) of every line event in a file under ``root``, and
-    give back whatever tracer was set before."""
+    (file, first line) of every lambda called there; give back whatever
+    tracer was set before."""
     ran: set[tuple[str, int]] = set()
+    called: set[tuple[str, int]] = set()
     add, inside, root = ran.add, {}, root.resolve()
 
     def local(frame, event, arg):
@@ -130,15 +158,20 @@ def line_trace(root: Path) -> Iterator[set[tuple[str, int]]]:
         return local
 
     def calls(frame, event, arg):
-        file = frame.f_code.co_filename
+        code = frame.f_code
+        file = code.co_filename
         if file not in inside:
             inside[file] = Path(file).resolve().is_relative_to(root)
-        return local if inside[file] else None
+        if not inside[file]:
+            return None
+        if code.co_name == "<lambda>":
+            called.add((file, code.co_firstlineno))
+        return local
 
     before = sys.gettrace()
     sys.settrace(calls)
     try:
-        yield ran
+        yield ran, called
     finally:
         sys.settrace(before)
 
@@ -232,7 +265,7 @@ def _fresh_kirkman() -> Iterator[None]:
 
 def test_every_statement_runs_or_is_allowed():
     codes = []
-    with _fresh_kirkman(), line_trace(SRC) as ran:
+    with _fresh_kirkman(), line_trace(SRC) as trace:
         for double, argv, _ in INVOCATIONS:
             with pytest.MonkeyPatch.context() as monkeypatch:
                 if double is not None:
@@ -245,7 +278,7 @@ def test_every_statement_runs_or_is_allowed():
                         codes.append(stop.code)
     assert codes == [code for _, _, code in INVOCATIONS]
     sources = {path.stem: path for path in sorted(SRC.glob("*.py"))}
-    problems = unrun_statements(sources, ran, ALLOWED)
+    problems = unrun_statements(sources, trace, ALLOWED)
     assert not problems, "\n".join(problems)
 
 
@@ -255,12 +288,15 @@ def test_every_statement_runs_or_is_allowed():
 THROWAWAY = '''\
 def called(flag):
     if flag:
-        return 1
+        return (lambda: 1)()
     return 2
 
 
 def uncalled():
     return 3
+
+
+never = lambda: 4
 '''
 
 
@@ -268,16 +304,23 @@ def test_the_checker_reports_what_did_not_run(tmp_path):
     path = tmp_path / "throwaway.py"
     path.write_text(THROWAWAY)
     namespace: dict = {}
-    with line_trace(tmp_path) as ran:
+    with line_trace(tmp_path) as trace:
         exec(compile(THROWAWAY, str(path), "exec"), namespace)
         namespace["called"](True)
-    runs, gone = ("throwaway.called", "return 1"), ("throwaway.called", "return 5")
-    problems = unrun_statements({"throwaway": path}, ran, {runs: "stale", gone: "stale"})
+    runs = ("throwaway.called", "return (lambda: 1)()")
+    called = ("throwaway.called.<lambda>", "return (lambda: 1)()")
+    gone = ("throwaway.called", "return 5")
+    problems = unrun_statements(
+        {"throwaway": path}, trace, {runs: "stale", called: "stale", gone: "stale"}
+    )
     assert problems == [
         "throwaway.py:4: throwaway.called: never ran: return 2",
         "throwaway.py:8: throwaway.uncalled: never ran: return 3",
+        # the lambda's line ran, but the lambda was never called
+        "throwaway.py:11: throwaway.<lambda>: never called: never = lambda: 4",
         f"allow-list entry {runs}: runs",
         f"allow-list entry {gone}: no such statement",
+        f"allow-list entry {called}: runs",
     ]
-    # with no trace at all, every statement fails, the definitions too
-    assert len(unrun_statements({"throwaway": path}, set(), {})) == 6
+    # with no trace at all, every statement and lambda fails, the definitions too
+    assert len(unrun_statements({"throwaway": path}, (set(), set()), {})) == 9

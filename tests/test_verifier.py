@@ -8,6 +8,7 @@ import math
 import pytest
 
 import kirkman.closed as closed_module
+import kirkman.formulas as formulas_module
 import kirkman.verifier as verifier_module
 from kirkman.cli import main
 from kirkman.closed import closed_table, cross_check_methods
@@ -80,7 +81,7 @@ def test_closed_table_asserts_integrality_at_every_step(monkeypatch):
 
 
 def test_verify_takes_no_binomial(monkeypatch, capsys):
-    calls = record_calls(monkeypatch, "comb", math)
+    calls = record_calls(monkeypatch, "comb", math, formulas_module)
     assert main(["verify", "--r", "1", "--s", "1", "--max-M", "8", "--max-N", "8"]) == 0
     assert "81 cases" in capsys.readouterr().out
     assert calls == []
