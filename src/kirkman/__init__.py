@@ -26,7 +26,7 @@ _HOMES = {
         "formulas": "closed_form_coeff fixpoint_series power_series radical_series",
         "lagrange": "build_phi lagrange_coeff lagrange_table",
         "series": "BiSeries Rect poly",
-        "verifier": "Counterexample VerifyReport convolution_lhs sweep_cells verify_generalized",
+        "verifier": "convolution_lhs sweep_cells",
     }.items()
     for name in names.split()
 }

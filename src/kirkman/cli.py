@@ -6,10 +6,11 @@ reader closing the pipe early ends it quietly by SIGPIPE, as it ends
 ``cat`` (shell status 141).  Data goes to stdout, diagnostics to stderr.
 All numbers are printed in full decimal expansion, and rows in blocks of
 about 64 KiB of whole lines, one write each: every row exists before the
-first block is written, so blocking delays nothing.  A csv row of
-``verify``, all ints and a status, is one format, and an ok row converts
-its equal sides once; other csv rows are rendered field by field, and
-json-lines rows by ``json``.
+first block is written, so blocking delays nothing.  Each format of
+``verify`` takes its verdict from the last row of ``verifier.sweep_cells``.
+A csv row of it, all ints and a status, is one format, and an ok row
+converts its equal sides once; other csv rows are rendered field by field,
+and json-lines rows by ``json``.
 
 Each handler imports only the arithmetic it runs.  ``--help`` and parse
 errors load no arithmetic module; ``coeff`` loads ``formulas`` and
@@ -201,18 +202,6 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     from . import verifier
-    if args.format == "pretty":
-        report = verifier.verify_generalized(args.r, args.s, args.max_M, args.max_N)
-        if report.passed:
-            print(f"PASS {report.params_range}: {report.checked_count} cases, identity holds")
-        else:
-            c = report.first_counterexample
-            print(
-                f"FAIL {report.params_range}: counterexample at M={c.M} N={c.N}: "
-                f"lhs={c.lhs} rhs={c.rhs}"
-            )
-        return EXIT_OK if report.passed else EXIT_DISAGREEMENT
-
     header = ("M", "N", "lhs", "rhs", "status")
     status = "ok"
 
@@ -223,7 +212,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             status = "ok" if lhs == rhs else "fail"
             yield M, N, lhs, rhs, status
 
-    if args.format == "csv":
+    if args.format == "pretty":
+        # the sweep ends at its first counterexample, so its last row gives the verdict
+        for checked, (M, N, lhs, rhs, _) in enumerate(rows(), 1):
+            pass
+        window = f"r={args.r} s={args.s} 0<=M<={args.max_M} 0<=N<={args.max_N}"
+        if status == "ok":
+            print(f"PASS {window}: {checked} cases, identity holds")
+        else:
+            print(f"FAIL {window}: counterexample at M={M} N={N}: lhs={lhs} rhs={rhs}")
+    elif args.format == "csv":
         # every field is an int or ok/fail, so a row is one format, as _emit_rows would
         # write it; an ok row's two equal sides are converted once
         def lines():

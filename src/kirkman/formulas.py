@@ -27,8 +27,9 @@ from __future__ import annotations
 
 from itertools import accumulate
 from math import comb
+from operator import sub
 
-from .series import BiSeries, Rect, _check_power, _integral_quotient, _quotient
+from .series import BiSeries, Rect, _check_power, _integral_quotient
 
 
 def closed_form_coeff(p: int, m: int, n: int) -> int:
@@ -42,14 +43,6 @@ def closed_form_coeff(p: int, m: int, n: int) -> int:
         raise ValueError(f"exponents must be non-negative, got ({m}, {n})")
     numerator = p * comb(m + n + p - 1, n) * comb(2 * m + n + 2 * p, m + n + 2 * p)
     return _integral_quotient(numerator, m + p, p, m, n)
-
-
-def _integral_table(x: BiSeries, p: int) -> BiSeries:
-    # x as the table of f^p, each cell asserted to be an integer
-    for m, row in enumerate(x.coeff):
-        for n, value in enumerate(row):
-            _integral_quotient(value, 1, p, m, n)
-    return x
 
 
 def fixpoint_series(window: Rect) -> BiSeries:
@@ -87,20 +80,24 @@ def radical_series(window: Rect) -> BiSeries:
     2(2a-3), each cell divided exactly by a (a remainder raises
     ``ArithmeticError`` naming the root's cell z^a w^b, not a cell of f).
     One pass over a = 1 ... max_a + max_b + 2 keeps only the previous root
-    row and appends row a-1 of (1 - w - 2z - s) / 2z, which is row a of the
-    numerator with each cell halved.  The numerator's z^0 row cancels,
-    since s_0 is 1 - w, and is never formed.  The pass runs max_b + 1 rows
-    past the window because the division by (z+w) reads them.
+    row and appends row a of the numerator.  Its z^0 row cancels, since s_0
+    is 1 - w, and is never formed.  The pass runs max_b + 1 rows past the
+    window because the division by (z+w) reads them.  That division is
+    linear, so its quotient 2f is halved last, each cell asserted integral.
     """
     zero = (0,) * (window.max_b + 1)
     root, rows = (1, -1, *zero)[: len(zero)], []
     for a in range(1, window.max_a + window.max_b + 3):
         sums = accumulate(accumulate(root))
         root = tuple(_root_cell(2 * (2 * a - 3) * v, a, b) for b, v in enumerate(sums))
-        # an odd cell halves to a Fraction, which _integral_table reports
         u = (-2, *zero[1:]) if a == 1 else zero  # row a of 1 - w - 2z
-        rows.append(tuple(_quotient(x - y, 2) for x, y in zip(u, root)))
-    return _integral_table(BiSeries(rows).div_z_plus_w(window), 1)
+        rows.append(tuple(map(sub, u, root)))
+    twice = BiSeries(rows).div_z_plus_w(window)  # 2f, in ints
+    del rows  # the numerator goes before 2f is halved
+    return BiSeries(
+        [_integral_quotient(v, 2, 1, m, n) for n, v in enumerate(row)]
+        for m, row in enumerate(twice.coeff)
+    )
 
 
 def power_series(p: int, window: Rect) -> BiSeries:

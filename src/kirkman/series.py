@@ -13,9 +13,9 @@ which divides by 1, and the inverses) go through one divider, ``_quotient``:
 it stores a plain ``int`` when the result is an integer and a ``Fraction``
 only when it is not, and it divides an int by an int by ``divmod``, so an
 integer quotient never passes through a ``Fraction``.  The routes' integral
-steps go through ``_integral_quotient``, which divides an int numerator by
+steps go through ``_integral_quotient`` with int numerators: it divides by
 ``divmod`` itself and hands only a remainder, or a numerator of another
-type, to ``_quotient`` and its integrality error.
+type (a corrupted table's), to ``_quotient`` and its integrality error.
 Addition, subtraction and products need no normalising: integer cells give
 integer cells, and mixed int/Fraction arithmetic stays exact.  A table built
 from integers therefore holds only ints unless some division in it leaves a

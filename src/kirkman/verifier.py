@@ -20,35 +20,10 @@ from __future__ import annotations
 
 from itertools import accumulate, chain
 from operator import add, or_
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Sequence
 
 from . import ROUTES
 from .series import BiSeries, Rect, Scalar, _product_cell
-
-
-class Counterexample(NamedTuple):
-    r: int
-    s: int
-    M: int
-    N: int
-    lhs: int
-    rhs: int
-
-
-class VerifyReport(NamedTuple):
-    """Outcome of an identity sweep: it passed unless it found a counterexample."""
-
-    params_range: str
-    checked_count: int
-    first_counterexample: Optional[Counterexample] = None
-
-    @property
-    def passed(self) -> bool:
-        return self.first_counterexample is None
-
-    @property
-    def status(self) -> str:
-        return "pass" if self.passed else "fail"
 
 
 def convolution_lhs(x: BiSeries, y: BiSeries, M: int, N: int) -> int:
@@ -251,10 +226,11 @@ def sweep_cells(
 ) -> Iterator[tuple[int, int, int, int]]:
     """Yield (M, N, lhs, rhs) in lexicographic order, stopping after the first lhs != rhs.
 
-    After the last row, each table's anchors c_q(1, 0) = 2q and c_q(0, 1) = q
-    that the window holds are checked, and one that fails raises
-    ``ArithmeticError``: the identity holds as well for c_q(m, n) a^m b^n, and
-    a table scaled so passes every row.
+    So the last cell is the verdict: a pass if its sides agree, else the
+    first counterexample.  After the last row, each table's anchors
+    c_q(1, 0) = 2q and c_q(0, 1) = q that the window holds are checked, and
+    one that fails raises ``ArithmeticError``: the identity holds as well
+    for c_q(m, n) a^m b^n, and a table scaled so passes every row.
     """
     window = Rect(max_M, max_N)
     tables = {q: ROUTES["closed"](q, window) for q in {r, s, r + s}}
@@ -273,16 +249,3 @@ def sweep_cells(
                     f"scale anchor violated: c_{q}({m}, {n}) = {value}, expected {anchor}"
                 )
 
-
-def verify_generalized(r: int, s: int, max_M: int, max_N: int) -> VerifyReport:
-    """Check the identity exactly for all 0 <= M <= max_M, 0 <= N <= max_N.
-
-    Stops at the lexicographically first counterexample, if any.
-    """
-    params_range = f"r={r} s={s} 0<=M<={max_M} 0<=N<={max_N}"
-    # the sweep ends at its first counterexample, so its last cell gives the verdict
-    for checked, (M, N, lhs, rhs) in enumerate(sweep_cells(r, s, max_M, max_N), 1):
-        pass
-    if lhs != rhs:
-        return VerifyReport(params_range, checked, Counterexample(r, s, M, N, lhs, rhs))
-    return VerifyReport(params_range, checked)

@@ -121,7 +121,6 @@ ALLOWED: dict[tuple[str, str], str] = {
     ("verifier.convolution_lhs",
      'raise IndexError(f"cell ({M}, {N}) outside {x.rect} or {y.rect}")'): LAYER,
     ("verifier.convolution_lhs", "return _product_cell(x.coeff, y.coeff, M, N)"): LAYER,
-    ("verifier.VerifyReport.status", 'return "pass" if self.passed else "fail"'): LIBRARY,
     # cli
     ("cli.main",
      "pass  # not the main thread of the main interpreter: SIGPIPE stays as it is"):

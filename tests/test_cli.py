@@ -504,30 +504,42 @@ def test_verify_csv_prints_every_row_up_to_the_counterexample(monkeypatch, capsy
 @pytest.mark.parametrize(
     "corrupt",
     [
+        None,
         lambda monkeypatch: corrupt_route(monkeypatch, "closed_table", 7),
         lambda monkeypatch: monkeypatch.setattr(
             closed_module, "closed_table", corrupted_closed_table
         ),
     ],
-    ids=["cell-0-0", "c2-cell-1-0"],
+    ids=["uncorrupted", "cell-0-0", "c2-cell-1-0"],
 )
 def test_verify_csv_and_json_lines_give_the_same_rows(monkeypatch, capsys, corrupt):
-    # csv writes each row by its own format: both formats keep the same rows,
-    # up to and including the first failing one, and the same exit code
-    corrupt(monkeypatch)
+    # csv writes each row by its own format, and pretty only the count and the
+    # verdict: all three keep the same rows, up to and including the first
+    # failing one, and the same exit code
+    if corrupt:
+        corrupt(monkeypatch)
+    verdict = "fail" if corrupt else "ok"
     argv = ["verify", "--r", "1", "--s", "1", "--max-M", "3", "--max-N", "6", "--format"]
     code, out, _ = run([*argv, "csv"], capsys)
-    assert code == 1
+    assert code == (1 if corrupt else 0)
     header, *lines = out.splitlines()
     fields = header.split(",")
     assert fields == ["M", "N", "lhs", "rhs", "status"]
     csv_rows = [(*map(int, cells[:4]), cells[4]) for cells in (line.split(",") for line in lines)]
-    code, out, _ = run([*argv, "json-lines"], capsys)
-    assert code == 1
+    assert [row[4] for row in csv_rows] == ["ok"] * (len(csv_rows) - 1) + [verdict]
+    json_code, out, _ = run([*argv, "json-lines"], capsys)
+    assert json_code == code
     records = [json.loads(line) for line in out.splitlines()]
     assert all(list(record) == fields for record in records)
     assert csv_rows == [tuple(record.values()) for record in records]
-    assert [row[4] for row in csv_rows] == ["ok"] * (len(csv_rows) - 1) + ["fail"]
+    pretty_code, out, _ = run([*argv, "pretty"], capsys)
+    assert pretty_code == code
+    M, N, lhs, rhs, _ = csv_rows[-1]
+    window = "r=1 s=1 0<=M<=3 0<=N<=6"
+    assert out == (
+        f"FAIL {window}: counterexample at M={M} N={N}: lhs={lhs} rhs={rhs}\n" if corrupt
+        else f"PASS {window}: {len(csv_rows)} cases, identity holds\n"
+    )
 
 
 # each route's builder and its name in kirkman.ROUTES
@@ -586,7 +598,7 @@ def _corrupt_phi(monkeypatch):
 
 def _corrupt_z_plus_w(monkeypatch):
     # as in test_radical_series_asserts_integrality: z+w's division is the last step
-    corrupt_route(monkeypatch, "div_z_plus_w", Fraction(1, 2), owner=BiSeries)
+    corrupt_route(monkeypatch, "div_z_plus_w", 1, owner=BiSeries)
 
 
 @pytest.mark.parametrize(
@@ -614,8 +626,8 @@ def test_integrality_failure_exits_1_with_one_line(monkeypatch, capsys, corrupt,
 @pytest.mark.parametrize(
     "cell, size, message",
     [
-        # the root's cell (1, 0) one too large leaves the halved numerator
-        # the constant term -1/2, which z+w does not divide
+        # the root's cell (1, 0) one too large leaves the numerator the
+        # constant term -1, which z+w does not divide
         ((1, 0), "2", "not divisible by z+w: nonzero constant term"),
         # the root's cell (2, 1) lies outside the 1x1 window: the message
         # names it as a cell of the root, not of f

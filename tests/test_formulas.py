@@ -88,9 +88,10 @@ def test_power_series_asserts_integrality():
 
 
 def test_radical_series_asserts_integrality(monkeypatch):
-    # the division by z+w is the route's last step; corrupting the halving
-    # before it would trip that division's residual check instead
-    corrupt_route(monkeypatch, "div_z_plus_w", Fraction(1, 2), BiSeries)
+    # the halving after the division by z+w is the route's last step: 2f's
+    # cell (0, 0) one too large makes f's 3/2; a corrupted numerator before
+    # the division would trip its residual check instead
+    corrupt_route(monkeypatch, "div_z_plus_w", 1, BiSeries)
     with pytest.raises(ArithmeticError, match="integrality violated at p=1 m=0 n=0: 3/2$"):
         radical_series(Rect(2, 2))
 
@@ -200,8 +201,8 @@ def _traced_peak(build) -> int:
 
 
 def test_radical_route_peak_memory_is_a_few_closed_tables():
-    # the route keeps one root row and one halved numerator table, and the
-    # division by z+w keeps only the window's rows
+    # the route keeps one root row and one numerator table, the division by
+    # z+w keeps only the window's rows, and the numerator goes before the halving
     window = Rect(120, 120)
     closed = _traced_peak(lambda: closed_table(1, window))
     radical = _traced_peak(lambda: radical_series(window))

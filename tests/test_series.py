@@ -259,7 +259,7 @@ def test_mul_left_factor_with_zero_tail_rows(max_den):
     assert BiSeries.from_table(x.rect, {}) * y == BiSeries.from_table(x.rect, {})
 
 
-def test_radical_sqrt_reads_two_operand_rows(monkeypatch):
+def test_radicand_sqrt_is_the_radical_routes_root(monkeypatch):
     # the square root of the radicand (1-w)^2 - 4z is the root the radical
     # route builds by its own row recurrence
     divisions = record_calls(monkeypatch, "_root_cell", formulas)

@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 from kirkman.series import BiSeries, Rect
-from kirkman.verifier import Counterexample, VerifyReport
 
 from oracles import cli_env
 
@@ -22,18 +21,14 @@ VALUES = {
     "Rect": (lambda: Rect(1, 2), "max_a"),
     "BiSeries": (lambda: BiSeries.from_table(Rect(1, 2), {(0, 0): 1, (1, 2): 3}), "coeff"),
     "BiSeries-from-lists": (lambda: BiSeries([[1, 2], [3, 4]]), "rect"),
-    "Counterexample": (lambda: Counterexample(1, 2, 3, 4, 5, 6), "lhs"),
-    "VerifyReport": (lambda: VerifyReport("r=1 s=1", 3), "checked_count"),
 }
-HASHABLE = (Rect, BiSeries, Counterexample)
 
 
 @pytest.mark.parametrize("make, field", VALUES.values(), ids=VALUES)
 def test_value_type_contract(make, field):
     value, same = make(), make()
     assert value is not same and value == same
-    if isinstance(value, HASHABLE):
-        assert hash(value) == hash(same)
+    assert hash(value) == hash(same)
     with pytest.raises(AttributeError):
         setattr(value, field, getattr(same, field))
     assert value == same
@@ -60,7 +55,7 @@ def test_readme_library_block_values():
         expression, comment = call.split("#")
         shown.append(ast.literal_eval(comment.strip()))
         assert eval(expression, namespace) == shown[-1], call
-    assert shown == ["pass", 14, 14]
+    assert shown == [True, 14, 14]
 
 
 def test_series_repr_and_no_scalar_arithmetic():

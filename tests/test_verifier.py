@@ -15,22 +15,21 @@ from kirkman.closed import closed_table, cross_check_methods
 from kirkman.formulas import closed_form_coeff, power_series
 from kirkman.lagrange import lagrange_table
 from kirkman.series import BiSeries, Rect
-from kirkman.verifier import (
-    Counterexample,
-    VerifyReport,
-    convolution_lhs,
-    sweep_cells,
-    verify_generalized,
-)
+from kirkman.verifier import convolution_lhs, sweep_cells
 
 from oracles import catalan, cells, corrupt_route, corrupted_closed_table, record_calls
 
 
+def holds(r, s, max_M, max_N):
+    # the sweep's verdict alone, as README gives it
+    return all(lhs == rhs for *_, lhs, rhs in sweep_cells(r, s, max_M, max_N))
+
+
 def test_identity_params_validation():
     with pytest.raises(ValueError, match="power"):
-        verify_generalized(0, 1, 0, 0)
+        next(sweep_cells(0, 1, 0, 0))
     with pytest.raises(ValueError, match="non-negative"):
-        verify_generalized(1, 1, -1, 0)
+        next(sweep_cells(1, 1, -1, 0))
 
 
 # ---- the closed table by term ratios ----
@@ -123,44 +122,38 @@ def test_power_product_matches_power_sum():
 
 
 def test_verify_single_cell():
-    report = verify_generalized(1, 1, 0, 0)
-    assert report.passed
-    assert report.checked_count == 1
-    assert report.first_counterexample is None
+    assert list(sweep_cells(1, 1, 0, 0)) == [(0, 0, 1, 1)]
 
 
 def test_verify_kirkman_hypothesis_small():
-    report = verify_generalized(1, 1, 10, 10)
-    assert report.passed
-    assert report.checked_count == 121
+    assert holds(1, 1, 10, 10)
+    assert len(list(sweep_cells(1, 1, 10, 10))) == 121
 
 
 def test_verify_generalized_case():
-    report = verify_generalized(3, 2, 8, 8)
-    assert report.passed
-    assert report.checked_count == 81
+    assert holds(3, 2, 8, 8)
+    assert len(list(sweep_cells(3, 2, 8, 8))) == 81
 
 
 def test_verify_symmetry_in_r_and_s():
-    left = verify_generalized(2, 4, 6, 6)
-    right = verify_generalized(4, 2, 6, 6)
-    assert left.status == right.status == "pass"
-    assert left.checked_count == right.checked_count
+    left = list(sweep_cells(2, 4, 6, 6))
+    assert left == list(sweep_cells(4, 2, 6, 6))
+    assert len(left) == 49 and all(lhs == rhs for *_, lhs, rhs in left)
 
 
 def test_verify_cayley_case():
     # Cayley's case is the N = 0 sweep of r = s = 1
-    assert verify_generalized(1, 1, 0, 0).passed
-    report = verify_generalized(1, 1, 50, 0)
-    assert report.passed
-    assert report.checked_count == 51
+    assert holds(1, 1, 0, 0)
+    cells = list(sweep_cells(1, 1, 50, 0))
+    assert [(M, N) for M, N, _, _ in cells] == [(M, 0) for M in range(51)]
+    assert all(lhs == rhs for *_, lhs, rhs in cells)
 
 
 def test_sweep_takes_no_product_cell(monkeypatch, capsys):
     # the left side is one packed product of the closed tables, not a
     # convolution sum per cell
     calls = record_calls(monkeypatch, "_product_cell", verifier_module)
-    assert verify_generalized(2, 3, 24, 24).passed
+    assert holds(2, 3, 24, 24)
     argv = ["verify", "--r", "2", "--s", "3", "--max-M", "24", "--max-N", "24", "--format", "csv"]
     assert main(argv) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 25 * 25
@@ -174,7 +167,7 @@ def test_sweep_takes_no_product_cell(monkeypatch, capsys):
 def test_sweep_builds_one_table_per_distinct_power(monkeypatch):
     # Kirkman's r = s = 1 needs the tables of c_1 and c_2 only
     calls = record_calls(monkeypatch, "closed_table", closed_module)
-    assert verify_generalized(1, 1, 6, 6).passed
+    assert holds(1, 1, 6, 6)
     assert sorted(p for p, _ in calls) == [1, 2]
 
 
@@ -203,14 +196,6 @@ def test_cross_check_methods_reads_the_tables_by_rows(monkeypatch, p, size):
     assert calls
 
 
-def test_report_verdict_follows_its_counterexample():
-    passed = VerifyReport("r=1 s=1", 1)
-    assert passed.passed and passed.status == "pass"
-    failed = VerifyReport("r=1 s=1", 1, Counterexample(1, 1, 0, 0, 1, 2))
-    assert not failed.passed and failed.status == "fail"
-    assert VerifyReport._fields == ("params_range", "checked_count", "first_counterexample")
-
-
 def test_cross_check_single_cell():
     # (m, n, closed, series, lagrange, radical, agree), in kirkman.ROUTES order
     assert cross_check_methods(1, 0, 0) == [(0, 0, 1, 1, 1, 1, True)]
@@ -234,22 +219,21 @@ def test_cross_check_catalan_row():
 def test_verify_reports_first_counterexample(monkeypatch):
     # corrupt the rhs coefficient at (p, M, N) = (2, 1, 0)
     monkeypatch.setattr(closed_module, "closed_table", corrupted_closed_table)
-    report = verify_generalized(1, 1, 2, 2)
-    assert not report.passed
-    assert report.status == "fail"
-    assert report.checked_count == 4  # (0,0), (0,1), (0,2), then (1,0) fails
-    c = report.first_counterexample
-    assert (c.M, c.N) == (1, 0)
-    assert c.lhs == 4
-    assert c.rhs == 5
+    assert not holds(1, 1, 2, 2)
+    # (0,0), (0,1), (0,2), then (1,0) fails
+    assert list(sweep_cells(1, 1, 2, 2)) == [(0, 0, 1, 1), (0, 1, 2, 2), (0, 2, 3, 3), (1, 0, 4, 5)]
 
 
-def test_sweep_cells_stops_at_the_reported_counterexample(monkeypatch):
+def test_sweep_cells_stops_at_the_reported_counterexample(monkeypatch, capsys):
+    # verify's pretty FAIL line reports the sweep's last cell
     monkeypatch.setattr(closed_module, "closed_table", corrupted_closed_table)
-    cells = list(sweep_cells(1, 1, 2, 2))
-    c = verify_generalized(1, 1, 2, 2).first_counterexample
-    assert cells[-1] == (c.M, c.N, c.lhs, c.rhs) == (1, 0, 4, 5)
-    assert all(lhs == rhs for _, _, lhs, rhs in cells[:-1])
+    *passed, (M, N, lhs, rhs) = sweep_cells(1, 1, 2, 2)
+    assert all(left == right for _, _, left, right in passed)
+    assert main(["verify", "--r", "1", "--s", "1", "--max-M", "2", "--max-N", "2"]) == 1
+    assert capsys.readouterr().out == (
+        f"FAIL r=1 s=1 0<=M<=2 0<=N<=2: counterexample at M={M} N={N}: lhs={lhs} rhs={rhs}\n"
+    )
+    assert (M, N, lhs, rhs) == (1, 0, 4, 5)
 
 
 def test_cross_check_detects_route_disagreement(monkeypatch):
