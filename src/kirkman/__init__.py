@@ -1,10 +1,10 @@
 """Exact verification of Kirkman's convolution identity and its generalization.
 
-Three independent constructions of the same coefficient array (closed-form
-binomials, truncated series from the defining quadratic or its radical
-solution, and Lagrange inversion), plus brute-force identity sweeps over
-user-chosen ranges.  All arithmetic is exact: arbitrary-precision integers
-and rationals throughout.
+Three independent constructions of the same coefficient array (the closed
+form by term ratios, with binomials only for one cell, truncated series from
+the defining quadratic or its radical solution, and Lagrange inversion), plus
+brute-force identity sweeps over user-chosen ranges.  All arithmetic is
+exact, and a failed exactness check raises a plain ``ArithmeticError``.
 
 ``import kirkman`` loads no submodule: each public name is imported from
 its home module on first use (PEP 562), and ``ROUTES``, the one registry of
@@ -25,7 +25,7 @@ _HOMES = {
         "closed": "closed_table cross_check_methods",
         "formulas": "closed_form_coeff fixpoint_series power_series radical_series",
         "lagrange": "build_phi lagrange_coeff lagrange_table",
-        "series": "BiSeries Rect poly",
+        "series": "BiSeries Rect",
         "verifier": "convolution_lhs sweep_cells",
     }.items()
     for name in names.split()

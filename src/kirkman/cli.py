@@ -167,11 +167,9 @@ def _emit_rows(fmt: str, header: Sequence[str], rows: Iterable[Sequence[object]]
             for row in rows
         )
         _write_lines(chain([",".join(header)], map(",".join, fields)))
-    elif fmt == "json-lines":
+    else:  # json-lines: argparse's choices admit no other format, and no caller passes pretty
         import json  # here, not at the top: csv, pretty and --help skip its import time
         _write_lines(json.dumps(dict(zip(header, row)), default=str) for row in rows)
-    else:
-        raise AssertionError(f"unhandled format {fmt!r}")
 
 
 # ---- subcommands ----

@@ -29,7 +29,7 @@ from itertools import accumulate
 from math import comb
 from operator import sub
 
-from .series import BiSeries, Rect, _check_power, _integral_quotient
+from .series import BiSeries, Rect, _check_power, _integral_quotient, _quotient
 
 
 def closed_form_coeff(p: int, m: int, n: int) -> int:
@@ -61,8 +61,7 @@ def _root_cell(num: int, a: int, b: int) -> int:
     # cell (a, b) of the radical route's square root, num / a asserted integral
     q, r = divmod(num, a)
     if r:
-        from fractions import Fraction
-        raise ArithmeticError(f"radical root not integral at z^{a} w^{b}: {Fraction(num, a)}")
+        raise ArithmeticError(f"radical root not integral at z^{a} w^{b}: {_quotient(num, a)}")
     return q
 
 

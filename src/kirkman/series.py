@@ -78,14 +78,6 @@ def _integral_quotient(num: Scalar, den: int, p: int, m: int, n: int) -> int:
     return value
 
 
-class NotDivisibleError(ValueError, ArithmeticError):
-    """An exact division by z or by z+w that does not go.
-
-    A ``ValueError`` of the dividend, and an ``ArithmeticError``, so a route
-    whose table fails a division reports a disagreement, as a remainder does.
-    """
-
-
 def _check_power(p: int) -> None:
     # a table of f^p exists only for p >= 1
     if p < 1:
@@ -277,13 +269,13 @@ class BiSeries:
     def div_z(self) -> BiSeries:
         """Exact division by the first variable (drops the a=0 row).
 
-        A nonzero a=0 row raises ``NotDivisibleError``.
+        A nonzero a=0 row raises ``ArithmeticError``, as a remainder does.
         """
         if self.rect.max_a < 1:
             raise ValueError("rectangle too small to divide by the first variable")
         for b, value in enumerate(self.coeff[0]):
             if value != 0:
-                raise NotDivisibleError(f"not divisible by z: nonzero coefficient at (0, {b})")
+                raise ArithmeticError(f"not divisible by z: nonzero coefficient at (0, {b})")
         return BiSeries(self.coeff[1:])
 
     def div_z_plus_w(self, target: Rect) -> BiSeries:
@@ -299,7 +291,8 @@ class BiSeries:
         target.max_b, so the input must be padded to
         (target.max_a + target.max_b + 1, target.max_b) at least.
         Divisibility is checked through the a=0 residual row: a residual
-        raises ``NotDivisibleError``, too little padding a plain ``ValueError``.
+        raises ``ArithmeticError``, as a remainder does, and too little
+        padding, the caller's error, a ``ValueError``.
         """
         need_a = target.max_a + target.max_b + 1
         if self.rect.max_a < need_a or self.rect.max_b < target.max_b:
@@ -314,21 +307,12 @@ class BiSeries:
             if a <= target.max_a:
                 rows.append(row)
         if x[0][0] != 0:
-            raise NotDivisibleError("not divisible by z+w: nonzero constant term")
+            raise ArithmeticError("not divisible by z+w: nonzero constant term")
         for n in range(1, width):
             if x[0][n] != row[n - 1]:
-                raise NotDivisibleError(f"not divisible by z+w: residual at (0, {n})")
+                raise ArithmeticError(f"not divisible by z+w: residual at (0, {n})")
         return BiSeries(reversed(rows))
 
     def __repr__(self) -> str:
         return f"<BiSeries on {self.rect}>"
 
-
-def poly(rect: Rect, terms: Mapping[tuple[int, int], Scalar]) -> BiSeries:
-    """Polynomial truncated to ``rect``; terms outside the window are dropped.
-
-    Convenience for building fixed multipliers (2z + w, z^2 + zw, ...) on
-    windows that may be too small to hold every monomial.
-    """
-    inside = {index: value for index, value in terms.items() if rect.contains(*index)}
-    return BiSeries.from_table(rect, inside)

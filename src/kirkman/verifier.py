@@ -83,20 +83,13 @@ def _split_row(rows: int, stride: int) -> int:
     return min([0, *(h for h in fits if h > few)], key=lambda h: _split_cost(rows, stride, h))
 
 
-class _UnpackableCellError(ValueError, ArithmeticError):
-    """A cell of a packed product's operand that is not a non-negative int.
-
-    A ``ValueError`` of the table, and an ``ArithmeticError``, so a sweep over
-    a corrupted table reports a disagreement, as ``NotDivisibleError`` does.
-    """
-
-
 def _check_cells(table: Sequence[Sequence[Scalar]]) -> None:
-    # a cell that is not a non-negative int has no decimal slot
+    # a cell that is not a non-negative int has no decimal slot: a sweep over
+    # such a table reports a disagreement, as a remainder does
     cells = list(chain.from_iterable(table))
     if set(map(type, cells)) != {int} or min(cells) < 0:
         bad = next(v for v in cells if type(v) is not int or v < 0)
-        raise _UnpackableCellError(f"packed product needs non-negative int cells, got {bad}")
+        raise ArithmeticError(f"packed product needs non-negative int cells, got {bad}")
 
 
 def _digits(bits: int) -> int:

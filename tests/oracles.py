@@ -33,7 +33,8 @@ commands do not run themselves (the ``BiSeries`` constructor and
 what a command runs.  They look a module up when they patch it, so they
 patch the modules a command imports then.
 
-``cells`` and ``truncated`` walk and cut a window for the tests.
+``cells``, ``truncated`` and ``poly`` walk, cut and fill a window for the
+tests.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from pathlib import Path
 
 import kirkman
 from kirkman.closed import closed_table
-from kirkman.series import BiSeries, Rect, poly
+from kirkman.series import BiSeries, Rect
 
 
 def naive_mul(x: dict, y: dict, max_a: int, max_b: int) -> dict:
@@ -109,6 +110,11 @@ def cells(rect: Rect):
 def truncated(x: BiSeries, rect: Rect) -> BiSeries:
     """``x`` cut down to ``rect``, a rectangle inside its own, by slices of its rows."""
     return BiSeries(row[: rect.max_b + 1] for row in x.coeff[: rect.max_a + 1])
+
+
+def poly(rect: Rect, terms: dict) -> BiSeries:
+    """A polynomial on ``rect``, such as 2z + w, its terms outside the window dropped."""
+    return BiSeries.from_table(rect, {k: v for k, v in terms.items() if rect.contains(*k)})
 
 
 def quadratic_residual(f: BiSeries) -> BiSeries:

@@ -75,11 +75,8 @@ ALLOWED: dict[tuple[str, str], str] = {
     ("series.BiSeries.div_z", "for b, value in enumerate(self.coeff[0]):"): RING,
     ("series.BiSeries.div_z", "if value != 0:"): RING,
     ("series.BiSeries.div_z",
-     'raise NotDivisibleError(f"not divisible by z: nonzero coefficient at (0, {b})")'): RING,
+     'raise ArithmeticError(f"not divisible by z: nonzero coefficient at (0, {b})")'): RING,
     ("series.BiSeries.div_z", "return BiSeries(self.coeff[1:])"): RING,
-    ("series.poly",
-     "inside = {index: value for index, value in terms.items() if rect.contains(*index)}"): RING,
-    ("series.poly", "return BiSeries.from_table(rect, inside)"): RING,
     # series: values
     ("series.Rect.__str__", 'return f"({self.max_a}, {self.max_b})"'): VALUE,
     ("series.BiSeries.__setattr__", 'raise AttributeError(f"cannot assign to field {name!r}")'):
@@ -125,8 +122,6 @@ ALLOWED: dict[tuple[str, str], str] = {
     ("cli.main",
      "pass  # not the main thread of the main interpreter: SIGPIPE stays as it is"):
         "SIGPIPE outside the main thread: main runs in the main thread here",
-    ("cli._emit_rows", 'raise AssertionError(f"unhandled format {fmt!r}")'):
-        "argparse admits only the formats _emit_rows renders",
     ("cli", "sys.exit(main())"):
         "the entry of python -m kirkman.cli, which runs in a child; the gate calls main in process",
 }

@@ -17,11 +17,11 @@ from math import comb
 import kirkman.closed as closed_module
 from kirkman.cli import main
 from kirkman.formulas import closed_form_coeff, fixpoint_series, power_series, radical_series
-from kirkman.series import BiSeries, Rect, poly
+from kirkman.series import BiSeries, Rect
 
 from oracles import (
-    catalan, cells, corrupt_route, corrupted_closed_table, quadratic_residual, random_series,
-    truncated,
+    catalan, cells, corrupt_route, corrupted_closed_table, poly, quadratic_residual,
+    random_series, truncated,
 )
 
 

@@ -10,9 +10,9 @@ from kirkman import lagrange as lagrange_module
 from kirkman.closed import closed_table
 from kirkman.formulas import closed_form_coeff, fixpoint_series
 from kirkman.lagrange import build_phi, lagrange_coeff, lagrange_table
-from kirkman.series import BiSeries, Rect, poly
+from kirkman.series import BiSeries, Rect
 
-from oracles import catalan, times_one_plus_half_y
+from oracles import catalan, poly, times_one_plus_half_y
 
 
 # The fixed point y = z * phi(y) solved by substitution: a check on phi that

@@ -19,7 +19,7 @@ HOMES = {
     "closed": ("closed_table", "cross_check_methods"),
     "formulas": ("closed_form_coeff", "fixpoint_series", "power_series", "radical_series"),
     "lagrange": ("build_phi", "lagrange_coeff", "lagrange_table"),
-    "series": ("BiSeries", "Rect", "poly"),
+    "series": ("BiSeries", "Rect"),
     "verifier": ("convolution_lhs", "sweep_cells"),
 }
 
@@ -36,7 +36,6 @@ def test_all_lists_every_public_name():
         "fixpoint_series",
         "lagrange_coeff",
         "lagrange_table",
-        "poly",
         "power_series",
         "radical_series",
         "sweep_cells",
