@@ -37,11 +37,6 @@ def convolution_lhs(x: BiSeries, y: BiSeries, M: int, N: int) -> int:
     return _product_cell(x.coeff, y.coeff, M, N)
 
 
-# the least nonzero int/str digit limit sys.set_int_max_str_digits accepts
-# (sys.int_info.str_digits_check_threshold): an int of at most this many
-# digits converts to and from str under any limit
-_PLAIN_SLOT_DIGITS = 640
-
 # libmpdec stores a decimal in words of 19 digits on 64-bit builds, and
 # multiplies by schoolbook when one operand has at most 256 words
 _WORD_DIGITS, _SCHOOLBOOK_WORDS = 19, 256
@@ -131,7 +126,9 @@ def _kronecker_product(x: BiSeries, y: BiSeries) -> BiSeries:
     # ``width`` digits wide at digit i * stride + j * width
     # (Kronecker substitution); decimal multiplies numbers this long by a
     # number-theoretic transform, about five times faster than CPython's
-    # Karatsuba multiplies ints of the same size at the sweep's sizes
+    # Karatsuba multiplies ints of the same size at the sweep's sizes; str
+    # and int convert each slot, which the int/str digit limit allows when
+    # it is 0, as cli.main sets it, or at least ``width``
     #
     # Why no target cell (a <= max_a, b <= max_b) is ever carried into.  A
     # target sums at most (max_a + 1)(max_b + 1) terms x[i][j] y[a-i][b-j],
@@ -163,24 +160,12 @@ def _kronecker_product(x: BiSeries, y: BiSeries) -> BiSeries:
     # default Emax would overflow a product past 999,999 digits
     context = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded, InvalidOperation])
 
-    # str and int convert a slot no wider than _PLAIN_SLOT_DIGITS, so every
-    # cell of x and y too, as the target bound adds its bits to another's;
-    # Decimal converts an int of any size
-    if width <= _PLAIN_SLOT_DIGITS:
-        text, number = str, int
-    else:
-        def text(v: int) -> str:
-            return str(Decimal(v))
-
-        def number(slot: str) -> int:
-            return int(Decimal(slot))
-
     def pack(table: Sequence[Sequence[int]]) -> Decimal:
         # row a's slots at digit a * stride: each row is parsed alone and
         # the rows are summed pairwise, so the zeros of the guard and garbage
         # digits, about half the number, are never parsed from a string
         parts = [
-            context.scaleb(Decimal("".join([text(v).zfill(width) for v in row[::-1]])), a * stride)
+            context.scaleb(Decimal("".join([str(v).zfill(width) for v in row[::-1]])), a * stride)
             for a, row in enumerate(table)
         ]
         while len(parts) > 1:
@@ -210,7 +195,7 @@ def _kronecker_product(x: BiSeries, y: BiSeries) -> BiSeries:
     for a in range(max_a + 1):
         end = len(product) - a * stride
         row = product[end - (max_b + 1) * width : end]
-        rows.append([number(row[k : k + width]) for k in range(max_b * width, -1, -width)])
+        rows.append([int(row[k : k + width]) for k in range(max_b * width, -1, -width)])
     return BiSeries(rows)
 
 
@@ -223,7 +208,9 @@ def sweep_cells(
     first counterexample.  After the last row, each table's anchors
     c_q(1, 0) = 2q and c_q(0, 1) = q that the window holds are checked, and
     one that fails raises ``ArithmeticError``: the identity holds as well
-    for c_q(m, n) a^m b^n, and a table scaled so passes every row.
+    for c_q(m, n) a^m b^n, and a table scaled so passes every row.  The
+    packed product converts each slot with str and int, so under a nonzero
+    int/str digit limit below the slot width it raises Python's ``ValueError``.
     """
     window = Rect(max_M, max_N)
     tables = {q: ROUTES["closed"](q, window) for q in {r, s, r + s}}

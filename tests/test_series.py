@@ -518,7 +518,9 @@ def test_kronecker_product_of_closed_tables(p, q, rect):
 )
 def test_kronecker_product_slots_wider_than_the_int_str_limit():
     # cells of 15,000 bits or more need slots of about 9,000 digits, past the
-    # default limit of 4,300 digits on int <-> str conversion
+    # default limit of 4,300 digits on int <-> str conversion: str and int
+    # convert them under the limit 0 that cli.main sets, and under 4,300
+    # the conversion raises Python's own ValueError
     rng = random.Random(15000)
     rect = Rect(2, 1)
 
@@ -527,9 +529,12 @@ def test_kronecker_product_slots_wider_than_the_int_str_limit():
 
     x, y = wide(15000), wide(16000)
     previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
     try:
+        sys.set_int_max_str_digits(0)
         _assert_packed_product_is_cellwise(x, y)
+        sys.set_int_max_str_digits(4300)
+        with pytest.raises(ValueError, match="set_int_max_str_digits"):
+            _kronecker_product(x, y)
     finally:
         sys.set_int_max_str_digits(previous)
 
@@ -539,8 +544,8 @@ def test_kronecker_product_slots_wider_than_the_int_str_limit():
 )
 @pytest.mark.parametrize("width", [640, 641])
 def test_kronecker_product_slots_at_the_least_int_str_limit(width):
-    # 640 digits, the least limit the interpreter accepts, is the widest slot
-    # converted by str and int; a slot one digit wider goes through Decimal
+    # under a limit of 640 digits, the least nonzero one the interpreter
+    # accepts, a slot of 640 digits converts and a slot one digit wider raises
     assert getattr(sys.int_info, "str_digits_check_threshold", 640) == 640
     rng = random.Random(width)
     rect = Rect(3, 4)
@@ -556,19 +561,32 @@ def test_kronecker_product_slots_at_the_least_int_str_limit(width):
     previous = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        _assert_packed_product_is_cellwise(x, y)
-        _assert_packed_product_is_cellwise(y, x)
+        if width == 640:
+            _assert_packed_product_is_cellwise(x, y)
+            _assert_packed_product_is_cellwise(y, x)
+        else:
+            for pair in ((x, y), (y, x)):
+                with pytest.raises(ValueError, match="set_int_max_str_digits"):
+                    _kronecker_product(*pair)
     finally:
         sys.set_int_max_str_digits(previous)
 
 
 def test_kronecker_product_longer_than_a_million_digits():
     # 63 product slots of about 16,900 digits each, past the 999,999 digits
-    # that decimal's default context allows before it overflows
+    # that decimal's default context allows before it overflows; the slots
+    # convert under the int/str digit limit 0 that cli.main sets
     rng = random.Random(28000)
     rect = Rect(0, 31)
     x = BiSeries.from_table(rect, {c: 1 << 28000 | rng.getrandbits(28000) for c in cells(rect)})
-    _assert_packed_product_is_cellwise(x, x)
+    previous = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    try:
+        if previous is not None:
+            sys.set_int_max_str_digits(0)
+        _assert_packed_product_is_cellwise(x, x)
+    finally:
+        if previous is not None:
+            sys.set_int_max_str_digits(previous)
 
 
 @pytest.mark.parametrize("bad", [-1, Fraction(1, 2), Fraction(2, 1)])

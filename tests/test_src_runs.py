@@ -3,11 +3,12 @@
 ``test_every_statement_runs_or_is_allowed`` imports ``kirkman`` anew and
 runs ``INVOCATIONS`` in process through ``kirkman.cli.main`` under
 ``sys.settrace``: every subcommand in every format, ``--help`` and usage
-errors, every route, the sweep's edge windows and one whose slots pass 640
-digits, and the corruption doubles of ``oracles``, which reach the error
-branches a bad table takes.  A statement of ``src/kirkman`` that none of
-them ran fails the gate unless ``src_runs_allowed.ALLOWED`` names it, and
-so does an entry of that list that now runs or names no statement.
+errors, every route, the sweep's edge windows and a Cayley window whose
+packed product is split after a row, and the corruption doubles of
+``oracles``, which reach the error branches a bad table takes.  A statement
+of ``src/kirkman`` that none of them ran fails the gate unless
+``src_runs_allowed.ALLOWED`` names it, and so does an entry of that list
+that now runs or names no statement.
 
 A statement is found by ``ast``, keyed by its module, its qualified name
 and its first line stripped, never by a line number, and it ran when a
@@ -212,8 +213,8 @@ INVOCATIONS = [
     *_formats(["verify", "--r", "1", "--s", "1", "--max-M", "0", "--max-N", "0"]),
     *_formats(["verify", "--r", "1", "--s", "2", "--max-M", "0", "--max-N", "5"]),
     *_formats(["verify", "--r", "1", "--s", "1", "--cayley", "--max-M", "4"]),
-    # slots of 650 digits, past what str and int convert under every limit,
-    # and a product split after a row
+    # a packed product split after a row with one slot per row (max_b = 0):
+    # slots of 650 digits, split after row 834
     (None, ["verify", "--r", "1", "--s", "1", "--cayley", "--max-M", "1080", "--format", "csv"], 0),
     *_formats(["crosscheck", "--p", "1", *WINDOW]),
     *_formats(["crosscheck", "--p", "4", *WINDOW]),
