@@ -13,9 +13,10 @@ which divides by 1, and the inverses) go through one divider, ``_quotient``:
 it stores a plain ``int`` when the result is an integer and a ``Fraction``
 only when it is not, and it divides an int by an int by ``divmod``, so an
 integer quotient never passes through a ``Fraction``.  The routes' integral
-steps go through ``_integral_quotient`` with int numerators: it divides by
-``divmod`` itself and hands only a remainder, or a numerator of another
-type (a corrupted table's), to ``_quotient`` and its integrality error.
+steps go through ``_integral_quotient``: it divides by ``divmod``, which
+takes an int numerator or a corrupted table's ``Fraction`` one and gives an
+int quotient either way, and calls ``_quotient`` only to render a remainder
+in its integrality error.
 Addition, subtraction and products need no normalising: integer cells give
 integer cells, and mixed int/Fraction arithmetic stays exact.  A table built
 from integers therefore holds only ints unless some division in it leaves a
@@ -65,17 +66,13 @@ def _quotient(num: Scalar, den: Scalar) -> Scalar:
 
 
 def _integral_quotient(num: Scalar, den: int, p: int, m: int, n: int) -> int:
-    # coefficient (m, n) of f^p as num / den, asserted to be an integer; an
-    # int numerator is divided by divmod alone, and only a remainder or a
-    # numerator of another type reaches _quotient and the error
-    if type(num) is int:
-        q, r = divmod(num, den)
-        if not r:
-            return q
-    value = _quotient(num, den)
-    if type(value) is not int:
-        raise ArithmeticError(f"integrality violated at p={p} m={m} n={n}: {value}")
-    return value
+    # coefficient (m, n) of f^p as num / den, asserted to be an integer:
+    # divmod gives an int quotient for an int or a Fraction numerator, and
+    # _quotient only renders a remainder's reduced value for the error
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError(f"integrality violated at p={p} m={m} n={n}: {_quotient(num, den)}")
+    return q
 
 
 def _check_power(p: int) -> None:

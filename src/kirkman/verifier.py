@@ -63,28 +63,20 @@ def _split_cost(rows: int, stride: int, h: int) -> int:
 
 
 def _split_row(rows: int, stride: int) -> int:
-    # the h of least _split_cost, 0 (no split) on a tie.  A larger h only
-    # shrinks the second product, so for each transform length the first
-    # product may take, the largest h that fits it is the one candidate.
-    # Every operand of a split keeps more than _SCHOOLBOOK_WORDS words, so
-    # libmpdec multiplies it by transform, which is what the model prices.
+    # the h of least _split_cost among 0 (no split) and every h that leaves
+    # each operand of the split more than _SCHOOLBOOK_WORDS words, so that
+    # libmpdec multiplies it by transform, which is what the model prices; on
+    # a tie no split, and otherwise the largest h
     few = _SCHOOLBOOK_WORDS * _WORD_DIGITS // stride  # rows that fit in as many words
-    full = -(-rows * stride // _WORD_DIGITS)
-    fits = (
-        min(rows - 1 - few, (n - full) * _WORD_DIGITS // stride)
-        for k in range(full.bit_length(), (2 * full).bit_length() + 1)
-        for n in (3 << k - 1, 1 << k)
-    )
-    return min([0, *(h for h in fits if h > few)], key=lambda h: _split_cost(rows, stride, h))
+    return min([0, *range(rows - 1 - few, few, -1)], key=lambda h: _split_cost(rows, stride, h))
 
 
 def _check_cells(table: Sequence[Sequence[Scalar]]) -> None:
     # a cell that is not a non-negative int has no decimal slot: a sweep over
     # such a table reports a disagreement, as a remainder does
-    cells = list(chain.from_iterable(table))
-    if set(map(type, cells)) != {int} or min(cells) < 0:
-        bad = next(v for v in cells if type(v) is not int or v < 0)
-        raise ArithmeticError(f"packed product needs non-negative int cells, got {bad}")
+    for v in chain.from_iterable(table):
+        if type(v) is not int or v < 0:
+            raise ArithmeticError(f"packed product needs non-negative int cells, got {v}")
 
 
 def _digits(bits: int) -> int:
@@ -100,19 +92,15 @@ def _slot_layout(x: BiSeries, y: BiSeries) -> tuple[int, int]:
     count = ((max_a + 1) * (max_b + 1)).bit_length()
     _check_cells(x.coeff)
     _check_cells(y.coeff)
-    # the target bound is the same for the transposed tables, so its loops
-    # run over the shorter side: a column of 2,001 cells is one row of them
-    xs, ys = (x.coeff, y.coeff) if max_a <= max_b else (list(zip(*x.coeff)), list(zip(*y.coeff)))
     # reach[k][l]: y's cells in rows <= k and columns <= l ORed together,
     # as wide as the widest of them
-    reach = accumulate((list(accumulate(r, or_)) for r in ys), lambda p, r: list(map(or_, p, r)))
+    ored = (list(accumulate(r, or_)) for r in y.coeff)
+    reach = accumulate(ored, lambda p, r: list(map(or_, p, r)))
     pair = max(
         max(map(add, map(int.bit_length, row), map(int.bit_length, reversed(widest))))
-        for row, widest in zip(xs, reversed(list(reach)))
+        for row, widest in zip(x.coeff, reversed(list(reach)))
     )
     width = _digits(pair + count)
-    if not max_b:
-        return width, width
     # a garbage slot of product row a pairs whole rows i + k = a
     row_bits = map(int.bit_length, map(max, x.coeff))
     row_reach = accumulate(map(int.bit_length, map(max, y.coeff)), max)

@@ -450,6 +450,25 @@ def test_from_table_keeps_a_non_integral_cell_a_fraction():
     assert type(value) is Fraction and value == Fraction(1, 3)
 
 
+@pytest.mark.parametrize(
+    "num, den, q", [(6, 3, 2), (-12, 4, -3), (Fraction(6), 3, 2), (Fraction(-33, 3), 11, -1)]
+)
+def test_integral_quotient_of_an_int_or_a_fraction_is_an_int(num, den, q):
+    value = series_module._integral_quotient(num, den, 1, 2, 3)
+    assert type(value) is int and value == q
+
+
+@pytest.mark.parametrize(
+    "num, den, shown",
+    [(7, 2, "7/2"), (-11, 2, "-11/2"), (6, 4, "3/2"), (Fraction(7, 3), 2, "7/6"),
+     (Fraction(-33, 2), 3, "-11/2")],
+)
+def test_integral_quotient_names_the_reduced_remainder(num, den, shown):
+    with pytest.raises(ArithmeticError) as error:
+        series_module._integral_quotient(num, den, 1, 2, 3)
+    assert str(error.value) == f"integrality violated at p=1 m=2 n=3: {shown}"
+
+
 # ---- the packed product of the identity sweep ----
 
 
@@ -600,6 +619,20 @@ def test_kronecker_product_rejects_cells_that_are_not_non_negative_ints(bad):
         assert type(error.value) is ArithmeticError
 
 
+@pytest.mark.parametrize(
+    "first, second, shown", [(-1, Fraction(1, 2), "-1"), (Fraction(1, 2), -1, "1/2")]
+)
+def test_kronecker_product_names_the_first_bad_cell(first, second, shown):
+    # the message names the first bad cell in row-major order
+    rect = Rect(2, 2)
+    good = BiSeries.from_table(rect, dict.fromkeys(cells(rect), 1))
+    bad_table = BiSeries(((1, 1, 1), (1, 1, first), (second, 1, 1)))
+    for x, y in ((bad_table, good), (good, bad_table)):
+        with pytest.raises(ArithmeticError) as error:
+            _kronecker_product(x, y)
+        assert str(error.value) == f"packed product needs non-negative int cells, got {shown}"
+
+
 # ---- the packed product's slot width, row guard and row split ----
 
 
@@ -666,8 +699,8 @@ def test_kronecker_product_fills_its_slot_width_and_row_guard(rect, b, c, split)
 
 
 def test_split_row_costs_no_more_than_one_product():
-    # the chooser's few candidates find the least modeled cost among all
-    # rows whose operands stay past libmpdec's schoolbook size
+    # the chosen row has the least modeled cost among no split and all rows
+    # whose operands stay past libmpdec's schoolbook size
     for rows in (1, 2, 7, 13, 25, 49, 81, 101):
         for stride in (1, 20, 503, 1821, 4865, 6999, 18542, 65068):
             h = _split_row(rows, stride)
@@ -686,3 +719,48 @@ def test_split_row_splits_at_48x48_not_at_12x12_or_one_row():
     assert _split_row(49, stride(1, 4, _R48)) > 0
     for stride_digits in (1, 6999, 10**6):
         assert _split_row(1, stride_digits) == 0
+
+
+@pytest.mark.parametrize(
+    "r, s, rect, h",
+    [
+        *((r, 5 - r, _R48, 39) for r in range(1, 5)),
+        (1, 1, Rect(80, 80), 53),
+        (2, 2, Rect(60, 60), 57),
+        (1, 1, Rect(1080, 0), 834),
+        (2, 3, Rect(12, 12), 0),
+        (1, 1, Rect(100, 30), 0),
+        (1, 1, Rect(30, 100), 0),
+        (1, 1, Rect(2000, 0), 0),
+        (1, 1, Rect(4000, 0), 0),
+    ],
+    ids=lambda v: f"{v.max_a}x{v.max_b}" if isinstance(v, Rect) else str(v),
+)
+def test_split_row_on_the_windows_commands_run(r, s, rect, h):
+    # the row split of every window that README, CI or the benchmark sweeps
+    assert _row_split(closed_table(r, rect), closed_table(s, rect)) == h
+
+
+def _transposed(x):
+    return BiSeries(list(zip(*x.coeff)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        *(
+            lambda r=rect: tuple(_random_int_table(random.Random(s), r, 40) for s in (1, 2))
+            for rect in (Rect(40, 2), Rect(2, 40), Rect(30, 0))
+        ),
+        lambda: (closed_table(1, Rect(2000, 0)),) * 2,
+    ],
+    ids=["random-40x2", "random-2x40", "random-30x0", "c1*c1-2000x0"],
+)
+def test_slot_width_is_the_same_for_the_transposed_tables(build):
+    # a target's bound pairs x's cell (i, j) with y's cells up to (A - i, B -
+    # j), in either orientation; with one column a row is one slot wide
+    x, y = build()
+    width, stride = _slot_layout(x, y)
+    assert _slot_layout(_transposed(x), _transposed(y))[0] == width
+    if not x.rect.max_b:
+        assert stride == width
