@@ -7,13 +7,15 @@ The generalized identity states that for p = r + s,
 where c_p(m, n) is the closed-form coefficient of [z^m w^n] f^p.  The r = s
 = 1 case is Kirkman's hypothesis, and its N = 0 restriction is Cayley's
 case.  A sweep builds the closed-form table of each distinct power among r,
-s and p once (two when r = s) through ``kirkman.ROUTES["closed"]``, takes
-every left side at once as the exact truncated product of the tables of c_r
-and c_s, packed into decimal numbers by ``_kronecker_product`` (its comment
-gives the layout), and reads the right side from the table of c_p.  Both
-factors are closed-form tables and no series power enters, so a sweep is a
-genuine check of the identity rather than a tautology of series arithmetic;
-the series-level fact f^r f^s = f^(r+s) is tested separately as an invariant.
+s and p once (two when r = s) through ``kirkman.ROUTES["closed"]``, reads
+every left side from the rows of the exact truncated product of the tables
+of c_r and c_s, packed into decimal numbers by ``_kronecker_product`` (its
+comment gives the layout; when r = s it packs one number, and squares it
+unless it splits the product), and the right side from the table of c_p.
+Both factors are closed-form tables and no series power enters, so a sweep
+is a genuine check of the identity rather than a tautology of series
+arithmetic; the series-level fact f^r f^s = f^(r+s) is tested separately as
+an invariant.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from operator import add, or_
 from typing import Iterator, Sequence
 
 from . import ROUTES
-from .series import BiSeries, Rect, Scalar, _product_cell
+from .series import BiSeries, Rect, _product_cell
 
 
 def convolution_lhs(x: BiSeries, y: BiSeries, M: int, N: int) -> int:
@@ -71,14 +73,6 @@ def _split_row(rows: int, stride: int) -> int:
     return min([0, *range(rows - 1 - few, few, -1)], key=lambda h: _split_cost(rows, stride, h))
 
 
-def _check_cells(table: Sequence[Sequence[Scalar]]) -> None:
-    # a cell that is not a non-negative int has no decimal slot: a sweep over
-    # such a table reports a disagreement, as a remainder does
-    for v in chain.from_iterable(table):
-        if type(v) is not int or v < 0:
-            raise ArithmeticError(f"packed product needs non-negative int cells, got {v}")
-
-
 def _digits(bits: int) -> int:
     # decimal digits that hold any value under 2^bits: 10^digits > 2^bits,
     # as 0.30103 > log10(2)
@@ -90,33 +84,35 @@ def _slot_layout(x: BiSeries, y: BiSeries) -> tuple[int, int]:
     # argument in _kronecker_product says
     max_a, max_b = x.rect
     count = ((max_a + 1) * (max_b + 1)).bit_length()
-    _check_cells(x.coeff)
-    _check_cells(y.coeff)
+    # a cell that is not a non-negative int has no decimal slot: a sweep over
+    # such a table reports a disagreement, as a remainder does
+    for v in chain.from_iterable(x.coeff + y.coeff):
+        if type(v) is not int or v < 0:
+            raise ArithmeticError(f"packed product needs non-negative int cells, got {v}")
     # reach[k][l]: y's cells in rows <= k and columns <= l ORed together,
     # as wide as the widest of them
     ored = (list(accumulate(r, or_)) for r in y.coeff)
     reach = accumulate(ored, lambda p, r: list(map(or_, p, r)))
-    pair = max(
-        max(map(add, map(int.bit_length, row), map(int.bit_length, reversed(widest))))
-        for row, widest in zip(x.coeff, reversed(list(reach)))
-    )
+    pair = row_pair = 0
+    for row, widest in zip(x.coeff, reversed(list(reach))):
+        bits = list(map(int.bit_length, row))
+        pair = max(pair, *map(add, bits, map(int.bit_length, reversed(widest))))
+        # a garbage slot of product row a pairs whole rows i + k = a, and
+        # reach[k][-1] is as wide as y's widest cell in rows 0..k
+        row_pair = max(row_pair, max(bits) + widest[-1].bit_length())
     width = _digits(pair + count)
-    # a garbage slot of product row a pairs whole rows i + k = a
-    row_bits = map(int.bit_length, map(max, x.coeff))
-    row_reach = accumulate(map(int.bit_length, map(max, y.coeff)), max)
-    pair = max(map(add, row_bits, reversed(list(row_reach))))
-    return width, 2 * max_b * width + _digits(pair + count)
+    return width, 2 * max_b * width + _digits(row_pair + count)
 
 
-def _kronecker_product(x: BiSeries, y: BiSeries) -> BiSeries:
-    # the truncated product x * y of two tables of non-negative ints, as
-    # exact multiplications: cell (i, j) of a table becomes the decimal slot
-    # ``width`` digits wide at digit i * stride + j * width
-    # (Kronecker substitution); decimal multiplies numbers this long by a
-    # number-theoretic transform, about five times faster than CPython's
-    # Karatsuba multiplies ints of the same size at the sweep's sizes; str
-    # and int convert each slot, which the int/str digit limit allows when
-    # it is 0, as cli.main sets it, or at least ``width``
+def _kronecker_product(x: BiSeries, y: BiSeries) -> tuple[tuple[int, ...], ...]:
+    # the truncated product x * y of two tables of non-negative ints, as a
+    # tuple of its rows of ints, by exact multiplications: cell (i, j) of a
+    # table becomes the decimal slot ``width`` digits wide at digit i * stride
+    # + j * width (Kronecker substitution); decimal multiplies numbers this
+    # long by a number-theoretic transform, about five times faster than
+    # CPython's Karatsuba multiplies ints of the same size at the sweep's
+    # sizes; str and int convert each slot, which the int/str digit limit
+    # allows when it is 0, as cli.main sets it, or at least ``width``
     #
     # Why no target cell (a <= max_a, b <= max_b) is ever carried into.  A
     # target sums at most (max_a + 1)(max_b + 1) terms x[i][j] y[a-i][b-j],
@@ -166,7 +162,9 @@ def _kronecker_product(x: BiSeries, y: BiSeries) -> BiSeries:
         # many low digits as its context's precision
         return Context(prec=rows * stride, Emax=MAX_EMAX, traps=context.traps).shift(v, 0)
 
-    packed_x, packed_y = pack(x.coeff), pack(y.coeff)
+    # r = s passes one table twice, packed once; libmpdec squares it unsplit
+    packed_x = pack(x.coeff)
+    packed_y = packed_x if y is x else pack(y.coeff)
     h = _split_row(max_a + 1, stride)
     if h:
         # x's rows from h on, times y's first max_a + 1 - h rows
@@ -179,12 +177,10 @@ def _kronecker_product(x: BiSeries, y: BiSeries) -> BiSeries:
     # the operands, and then the product's Decimal, go before its string is read
     del packed_x, packed_y
     product = str(low(product, max_a + 1)).zfill(max_a * stride + (max_b + 1) * width)
-    rows = []
-    for a in range(max_a + 1):
-        end = len(product) - a * stride
-        row = product[end - (max_b + 1) * width : end]
-        rows.append([int(row[k : k + width]) for k in range(max_b * width, -1, -width)])
-    return BiSeries(rows)
+    return tuple(
+        tuple(int(product[k - width : k]) for k in range(end, end - (max_b + 1) * width, -width))
+        for end in range(len(product), 0, -stride)
+    )
 
 
 def sweep_cells(
@@ -196,14 +192,16 @@ def sweep_cells(
     first counterexample.  After the last row, each table's anchors
     c_q(1, 0) = 2q and c_q(0, 1) = q that the window holds are checked, and
     one that fails raises ``ArithmeticError``: the identity holds as well
-    for c_q(m, n) a^m b^n, and a table scaled so passes every row.  The
-    packed product converts each slot with str and int, so under a nonzero
-    int/str digit limit below the slot width it raises Python's ``ValueError``.
+    for c_q(m, n) a^m b^n, and a table scaled so passes every row.  When
+    r = s it passes one table twice to the packed product, which packs it
+    once and, unless it splits, squares it; that product converts each slot
+    with str and int, so under a nonzero int/str digit limit below the slot
+    width it raises Python's ``ValueError``.
     """
     window = Rect(max_M, max_N)
     tables = {q: ROUTES["closed"](q, window) for q in {r, s, r + s}}
     lhs = _kronecker_product(tables[r], tables[s])
-    for M, (lhs_row, rhs_row) in enumerate(zip(lhs.coeff, tables[r + s].coeff)):
+    for M, (lhs_row, rhs_row) in enumerate(zip(lhs, tables[r + s].coeff)):
         for N, (left, right) in enumerate(zip(lhs_row, rhs_row)):
             yield M, N, left, right
             if left != right:

@@ -1,9 +1,10 @@
 """Brute-force oracles, checking helpers and the shared test doubles.
 
-The value oracles (``naive_mul``, ``quadratic_table``, ``catalan``) are
-deliberately independent of the package: sparse dict arithmetic and a
-cell-by-cell recurrence, so agreement with the library is a genuine
-cross-check and not a tautology.
+The value oracles (``naive_mul``, ``quadratic_table``, ``catalan``,
+``dissections``) are deliberately independent of the package: sparse dict
+arithmetic, a cell-by-cell recurrence and an enumeration of polygon
+dissections, so agreement with the library is a genuine cross-check and not
+a tautology.
 
 Every test double of the suite is defined here once:
 
@@ -100,6 +101,26 @@ def quadratic_table(max_a: int, max_b: int) -> dict:
 
 def catalan(k: int) -> int:
     return comb(2 * k, k) // (k + 1)
+
+
+def dissections(k: int):
+    """Every set of pairwise non-crossing diagonals of a convex k-gon, as a tuple.
+
+    Vertices are 0..k-1 around the polygon, and a diagonal is a pair (i, j)
+    with i < j; two diagonals cross when their ends interleave.
+    """
+    diagonals = [(i, j) for i in range(k) for j in range(i + 2, k) if j - i < k - 1]
+
+    def crossing(d, e):
+        return d[0] < e[0] < d[1] < e[1] or e[0] < d[0] < e[1] < d[1]
+
+    def extend(chosen, later):
+        # ``later``: the diagonals after the last chosen that cross none chosen
+        yield chosen
+        for t, d in enumerate(later):
+            yield from extend((*chosen, d), [e for e in later[t + 1 :] if not crossing(d, e)])
+
+    return extend((), diagonals)
 
 
 def cells(rect: Rect):

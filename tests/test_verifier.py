@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import decimal
 import json
 import math
+from collections import Counter
 
 import pytest
 
@@ -17,7 +19,9 @@ from kirkman.lagrange import lagrange_table
 from kirkman.series import BiSeries, Rect
 from kirkman.verifier import convolution_lhs, sweep_cells
 
-from oracles import catalan, cells, corrupt_route, corrupted_closed_table, record_calls
+from oracles import (
+    catalan, cells, corrupt_route, corrupted_closed_table, dissections, record_calls
+)
 
 
 def holds(r, s, max_M, max_N):
@@ -43,6 +47,33 @@ def test_closed_table_equals_closed_form():
             table = closed_table(p, window)
             for m, n in cells(window):
                 assert table[m, n] == closed_form_coeff(p, m, n), (p, m, n)
+
+
+def test_closed_table_counts_polygon_dissections():
+    # c_p(m, n) sums C(deg_0(D), p - 1) over the dissections D of the
+    # (m + n + p + 2)-gon by m + p - 1 diagonals, deg_0(D) being the number
+    # of D's diagonals at vertex 0; at p = 1, the Kirkman-Cayley count of
+    # dissections by their number of diagonals (OEIS A033282).  Every cell
+    # whose polygon has at most 10 vertices, by enumeration.
+    tallies = {
+        k: Counter((len(d), sum(0 in diagonal for diagonal in d)) for d in dissections(k))
+        for k in range(3, 11)
+    }
+    checked = 0
+    for p in range(1, 5):
+        window = Rect(8 - p, 8 - p)
+        table = closed_table(p, window)
+        for m, n in cells(window):
+            if m + n + p + 2 <= 10:
+                tally = tallies[m + n + p + 2]
+                expected = sum(
+                    count * math.comb(at_zero, p - 1)
+                    for (size, at_zero), count in tally.items()
+                    if size == m + p - 1
+                )
+                assert table.coeff[m][n] == expected, (p, m, n)
+                checked += 1
+    assert checked == 100
 
 
 def test_closed_table_catalan_column_to_2000():
@@ -169,6 +200,25 @@ def test_sweep_builds_one_table_per_distinct_power(monkeypatch):
     calls = record_calls(monkeypatch, "closed_table", closed_module)
     assert holds(1, 1, 6, 6)
     assert sorted(p for p, _ in calls) == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "r, s, max_M, max_N, same", [(2, 2, 2000, 0, [True]), (2, 3, 48, 48, [False, False])]
+)
+def test_sweep_squares_one_packed_number_when_r_equals_s(monkeypatch, r, s, max_M, max_N, same):
+    # unsplit (its row split is 0), an r = s sweep multiplies the one
+    # packed table by itself, which libmpdec squares; the split r != s
+    # sweep multiplies two pairs of distinct numbers
+    operands = []
+
+    class Recording(decimal.Context):
+        def multiply(self, a, b):
+            operands.append(a is b)
+            return super().multiply(a, b)
+
+    monkeypatch.setattr(decimal, "Context", Recording)
+    assert holds(r, s, max_M, max_N)
+    assert operands == same
 
 
 def test_sweep_cells_order():
