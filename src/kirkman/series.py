@@ -8,20 +8,18 @@ arithmetic on the window is exact for the represented terms.  Variables are
 positional; the same type serves series in (z, w) and in (y, w), and it is
 the table type that every route and the identity sweep share.
 
-Cells are ``int`` or ``Fraction``.  The divisions here (construction,
-which divides by 1, and the inverses) go through one divider, ``_quotient``:
-it stores a plain ``int`` when the result is an integer and a ``Fraction``
-only when it is not, and it divides an int by an int by ``divmod``, so an
-integer quotient never passes through a ``Fraction``.  The routes' integral
-steps go through ``_integral_quotient``: it divides by ``divmod``, which
-takes an int numerator or a corrupted table's ``Fraction`` one and gives an
-int quotient either way, and calls ``_quotient`` only to render a remainder
-in its integrality error.
+Cells are ``int`` or ``Fraction``, by one rule: a division's result is an
+int when it is whole, and a caller's entries are kept as given.  The inverses
+divide through one divider, ``_quotient``, the exact ``Fraction`` quotient
+returned as its numerator when that is whole.  The routes' integral steps go
+through ``_integral_quotient``: it divides by ``divmod``, which takes an int
+numerator or a corrupted table's ``Fraction`` one and gives an int quotient
+either way, and calls ``_quotient`` only to render a remainder in its
+integrality error.
 Addition, subtraction and products need no normalising: integer cells give
 integer cells, and mixed int/Fraction arithmetic stays exact.  A table built
-from integers therefore holds only ints unless some division in it leaves a
-remainder, and ``fractions`` is imported only for such a value, so integer
-arithmetic never loads it.
+from integers therefore holds only ints, and ``fractions`` is imported only
+by a division, so integer arithmetic without one never loads it.
 
 There is no power kernel: the product, the reciprocal and the square root
 each fill their table in row-major order by ``_fill``, one product cell per
@@ -48,20 +46,9 @@ Scalar = Union[int, "Fraction"]
 
 
 def _quotient(num: Scalar, den: Scalar) -> Scalar:
-    # num / den as an int when integral and as a Fraction only when not: an
-    # int over an int builds a Fraction only for a remainder, a Fraction over
-    # 1 is kept as it is, and any other num is converted exactly; fractions
-    # is imported only past the integer case, and as a module, since ``from
-    # fractions import Fraction`` would cost about 1 us more a call
-    if type(num) is int and type(den) is int:
-        q, r = divmod(num, den)
-        if not r:
-            return q
-        import fractions
-        return fractions.Fraction(num, den)
+    # num / den, exactly, as an int when it is whole
     import fractions
-    num = num if isinstance(num, fractions.Fraction) else fractions.Fraction(num)
-    q = num if den == 1 else num / den
+    q = fractions.Fraction(num, den)
     return q.numerator if q.denominator == 1 else q
 
 
@@ -172,12 +159,12 @@ class BiSeries:
 
     @classmethod
     def from_table(cls, rect: Rect, entries: Mapping[tuple[int, int], Scalar]) -> BiSeries:
-        """Series with ``entries[a, b]`` at each given cell (a, b) and zeros elsewhere."""
+        """Series with ``entries[a, b]``, as given, at each cell (a, b) and zeros elsewhere."""
         table = [[0] * (rect.max_b + 1) for _ in range(rect.max_a + 1)]
         for (a, b), value in entries.items():
             if not rect.contains(a, b):
                 raise ValueError(f"index out of rectangle: ({a}, {b}) not in {rect}")
-            table[a][b] = _quotient(value, 1)
+            table[a][b] = value
         return cls(table)
 
     @classmethod
@@ -219,18 +206,12 @@ class BiSeries:
         return _fill(self.rect, lambda out, a, b: _product_cell(x, y, a, b))
 
     def __pow__(self, exponent: int) -> BiSeries:
-        """Truncated power by binary exponentiation; exponent 0 gives 1."""
+        """Truncated power by repeated products; exponent 0 gives 1."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {exponent!r}")
         result = BiSeries.one(self.rect)
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
+        for _ in range(exponent):
+            result = self * result
         return result
 
     # ---- inverses ----

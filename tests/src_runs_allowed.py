@@ -43,14 +43,8 @@ ALLOWED: dict[tuple[str, str], str] = {
     ("series.BiSeries.__pow__",
      'raise ValueError(f"exponent must be a non-negative integer, got {exponent!r}")'): LAYER,
     ("series.BiSeries.__pow__", "result = BiSeries.one(self.rect)"): LAYER,
-    ("series.BiSeries.__pow__", "base = self"): LAYER,
-    ("series.BiSeries.__pow__", "k = exponent"): LAYER,
-    ("series.BiSeries.__pow__", "while k:"): LAYER,
-    ("series.BiSeries.__pow__", "if k & 1:"): LAYER,
-    ("series.BiSeries.__pow__", "result = result * base"): LAYER,
-    ("series.BiSeries.__pow__", "k >>= 1"): LAYER,
-    ("series.BiSeries.__pow__", "if k:"): LAYER,
-    ("series.BiSeries.__pow__", "base = base * base"): LAYER,
+    ("series.BiSeries.__pow__", "for _ in range(exponent):"): LAYER,
+    ("series.BiSeries.__pow__", "result = self * result"): LAYER,
     ("series.BiSeries.__pow__", "return result"): LAYER,
     ("series.BiSeries.reciprocal", "x, x00 = _nonzero_rows(self.coeff), self.coeff[0][0]"): LAYER,
     ("series.BiSeries.reciprocal", "if x00 == 0:"): LAYER,

@@ -65,11 +65,11 @@ def test_from_table_z_plus_w():
 
 
 def test_from_table_keeps_fraction_cells():
-    # a non-integral Fraction is stored as it is, an integral one as an int
-    quarter = Fraction(-3, 4)
-    s = BiSeries.from_table(Rect(1, 1), {(0, 0): quarter, (1, 1): Fraction(6, 3)})
+    # every entry is stored as given, an integral Fraction included
+    quarter, two = Fraction(-3, 4), Fraction(6, 3)
+    s = BiSeries.from_table(Rect(1, 1), {(0, 0): quarter, (1, 1): two})
     assert s[0, 0] is quarter
-    assert s[1, 1] == 2 and type(s[1, 1]) is int
+    assert s[1, 1] is two
 
 
 def test_from_table_index_out_of_rectangle():
@@ -423,11 +423,11 @@ _R = Rect(3, 3)
 _PADDED = Rect(7, 3)
 INTEGER_CASES = {
     "from_table": lambda: _int_series(_R, 4),
-    "from_table_integral_fraction": lambda: _int_series(_R, Fraction(4, 2)),
     "mul": lambda: _int_series(_R, 4) * _int_series(_R, -3, seed=6),
     "pow": lambda: _int_series(_R, 2) ** 3,
     "reciprocal_plus_one": lambda: _int_series(_R, 1).reciprocal(),
     "reciprocal_minus_one": lambda: _int_series(_R, -1).reciprocal(),
+    "reciprocal_of_integral_fraction": lambda: _int_series(_R, Fraction(2, 2)).reciprocal(),
     "sqrt": lambda: (_int_series(_R, 1) ** 2).sqrt(),
     "div_z": lambda: (poly(_R, {(1, 0): 1}) * _int_series(_R, 4)).div_z(),
     "div_z_plus_w": lambda: (
@@ -724,23 +724,31 @@ def test_split_row_splits_at_48x48_not_at_12x12_or_one_row():
 
 
 @pytest.mark.parametrize(
-    "r, s, rect, h",
+    "r, s, rect, width, stride, h",
     [
-        *((r, 5 - r, _R48, 39) for r in range(1, 5)),
-        (1, 1, Rect(80, 80), 53),
-        (2, 2, Rect(60, 60), 57),
-        (1, 1, Rect(1080, 0), 834),
-        (2, 3, Rect(12, 12), 0),
-        (1, 1, Rect(100, 30), 0),
-        (1, 1, Rect(30, 100), 0),
-        (1, 1, Rect(2000, 0), 0),
-        (1, 1, Rect(4000, 0), 0),
+        pytest.param(r, s, rect, width, stride, h, id=f"{r}-{s}-{rect.max_a}x{rect.max_b}-{h}")
+        for r, s, rect, width, stride, h in [
+            *((r, 5 - r, _R48, 72, 6999, 39) for r in range(1, 5)),
+            (1, 1, Rect(80, 80), 115, 18542, 53),
+            (2, 2, Rect(60, 60), 87, 10548, 57),
+            (1, 1, Rect(1080, 0), 650, 650, 834),
+            (2, 3, Rect(12, 12), 20, 503, 0),
+            (1, 1, Rect(100, 30), 100, 6119, 0),
+            (1, 1, Rect(30, 100), 65, 13078, 0),
+            (1, 1, Rect(2000, 0), 1204, 1204, 0),
+            (1, 1, Rect(4000, 0), 2408, 2408, 0),
+            (1, 1, Rect(25, 25), 37, 1894, 0),
+            (1, 1, Rect(200, 0), 121, 121, 0),
+        ]
     ],
-    ids=lambda v: f"{v.max_a}x{v.max_b}" if isinstance(v, Rect) else str(v),
 )
-def test_split_row_on_the_windows_commands_run(r, s, rect, h):
-    # the row split of every window that README, CI or the benchmark sweeps
-    assert _row_split(closed_table(r, rect), closed_table(s, rect)) == h
+def test_split_row_on_the_windows_commands_run(r, s, rect, width, stride, h):
+    # the slot layout and row split of every window that README, CI or the
+    # benchmark sweeps, to the digit: a layout one digit wider is still
+    # correct, so only these counts show it
+    layout = _slot_layout(closed_table(r, rect), closed_table(s, rect))
+    assert layout == (width, stride)
+    assert _split_row(rect.max_a + 1, stride) == h
 
 
 def _transposed(x):
