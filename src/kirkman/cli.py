@@ -111,14 +111,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             pipe = signal.signal(signal.SIGPIPE, signal.SIG_DFL)
         except ValueError:
             pass  # not the main thread of the main interpreter: SIGPIPE stays as it is
-    limit = None
+    limit = sys.get_int_max_str_digits()
     try:
         args = build_parser().parse_args(argv)
-        if hasattr(sys, "set_int_max_str_digits"):
-            # print every coefficient in full; the default 4,300-digit limit on
-            # int-to-str conversion would end a large one in a traceback with exit 1
-            limit = sys.get_int_max_str_digits()
-            sys.set_int_max_str_digits(0)
+        # print every coefficient in full; the default 4,300-digit limit on
+        # int-to-str conversion would end a large one in a traceback with exit 1
+        sys.set_int_max_str_digits(0)
         try:
             return args.handler(args)
         except ArithmeticError as error:
@@ -129,8 +127,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # Ctrl-C ends the command quietly, with the shell's status for SIGINT
         return 128 + signal.SIGINT
     finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(limit)
         if pipe is not None:
             # flushed while SIGPIPE is still fatal, so a reader that closed the
             # pipe ends the command by the signal, not by a BrokenPipeError at exit

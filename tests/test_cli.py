@@ -84,7 +84,7 @@ def test_coeff_json_lines(capsys):
 
 
 def test_coeff_prints_past_the_int_str_limit():
-    # Catalan(8001) has 4,812 digits, past CPython's default limit of 4,300 on
+    # Catalan(8001) has 4,811 digits, past CPython's default limit of 4,300 on
     # int-to-str conversion; a subprocess leaves this process's limit alone
     expected = str(Decimal(math.comb(16002, 8001) // 8002))  # Decimal has no such limit
     argv = ["coeff", "--p", "1", "--m", "8000", "--n", "0", "--format"]
@@ -100,27 +100,27 @@ def test_coeff_prints_past_the_int_str_limit():
         assert out == expected
 
 
-@pytest.mark.skipif(
-    not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit here"
-)
 def test_main_restores_the_callers_int_str_limit(capsys):
     # main lifts the limit for its command only: the coefficient prints in
-    # full, and an in-process caller gets its own limit back afterwards
+    # full, and an in-process caller gets its own limit back afterwards, also
+    # when parsing exits by --help or a usage error
     expected = str(Decimal(math.comb(16002, 8001) // 8002))
     previous = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
         code, out, _ = run(["coeff", "--p", "1", "--m", "8000", "--n", "0"], capsys)
         assert sys.get_int_max_str_digits() == 4300
+        for argv, status in (["--help"], 0), (["coeff", "--p", "0", "--m", "1", "--n", "1"], 2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == status
+            assert sys.get_int_max_str_digits() == 4300
     finally:
         sys.set_int_max_str_digits(previous)
     assert code == 0
     assert out.rstrip("\n") == expected
 
 
-@pytest.mark.skipif(
-    not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit here"
-)
 def test_main_runs_in_a_worker_thread(capsys):
     # only the main thread may set SIGPIPE, so a worker leaves it alone, but
     # still lifts the digit limit for the command and restores it afterwards
@@ -155,9 +155,6 @@ def test_main_restores_the_callers_sigpipe_disposition(capsys):
     assert out == "5\n"
 
 
-@pytest.mark.skipif(
-    not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit here"
-)
 @pytest.mark.parametrize(
     "argv",
     [

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import inspect
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
@@ -192,13 +193,23 @@ def test_radical_root_divides_each_cell_exactly(monkeypatch):
 
 
 def _traced_peak(build) -> int:
-    # the largest traced allocation total while ``build`` runs, in bytes
-    tracemalloc.start()
-    try:
-        build()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # the largest traced allocation total while ``build`` runs, in bytes; it runs
+    # in a fresh thread, since tracemalloc walks the whole stack at every
+    # allocation, and a new thread's is a few frames where pytest's is dozens
+    peak = []
+
+    def traced() -> None:
+        tracemalloc.start()
+        try:
+            build()
+            peak.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    worker = threading.Thread(target=traced)
+    worker.start()
+    worker.join()
+    return peak[0]
 
 
 def test_radical_route_peak_memory_is_a_few_closed_tables():

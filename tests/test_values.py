@@ -41,6 +41,10 @@ def test_unequal_fields_give_unequal_values():
     assert Rect(1, 2) != Rect(2, 1)
     assert BiSeries.from_table(Rect(1, 2), {}) != BiSeries.one(Rect(1, 2))
     assert BiSeries.from_table(Rect(1, 2), {}) != BiSeries.from_table(Rect(2, 1), {})
+    # a series is no other type's value, not even that of its own cells
+    one = BiSeries.one(Rect(1, 2))
+    assert one != one.coeff
+    assert one != 0
 
 
 def test_readme_library_block_values():
